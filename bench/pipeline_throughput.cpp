@@ -1,4 +1,4 @@
-// Streaming pipeline vs monolithic wall clock.
+// Streaming (length-bucketed) pipeline vs one-batch wall clock.
 //
 //   pipeline_throughput [--quick] [--genome N] [--reads N] [--seed S]
 //                       [--n 100|150] [--delta D] [--batch-size N]
@@ -13,13 +13,14 @@
 //
 // Both paths do the same end-to-end work on the table 1 workload —
 // parse FASTQ, map, emit SAM — and their outputs are byte-compared
-// (the run fails if they ever diverge). The monolithic path is
+// (the run fails if they ever diverge). The one-batch path is
 // examples/map_fastq's shape: read everything, one map() call, one
-// emit pass. The streaming path is the repute CLI's shape: chunked
-// parsing, --threads mapper workers, ordered emission, all overlapped
-// through bounded queues. The difference is real host wall clock, so
-// the win scales with available cores (parse/map/emit overlap); on a
-// single-core host expect parity, not regression.
+// emit pass. The streaming path is the repute CLI's shape: length-class
+// buckets from next_bucket(), --threads mapper workers, per-read
+// rendering restored to input order by a RecordReorderWriter, all
+// overlapped through bounded queues. The difference is real host wall
+// clock, so the win scales with available cores (parse/map/emit
+// overlap); on a single-core host expect parity, not regression.
 
 #include <algorithm>
 #include <cstdio>
@@ -184,9 +185,9 @@ int main(int argc, char** argv) {
     pipeline::SamEmitterConfig emit_config;
     emit_config.delta = delta;
 
-    // Monolithic: parse everything, then map, then emit.
-    double mono_best = 1e300;
-    std::string mono_sam;
+    // One batch: parse everything, then map, then emit.
+    double batch_best = 1e300;
+    std::string batch_sam;
     for (std::size_t rep = 0; rep < repeats; ++rep) {
         ocl::Device device(ocl::profile_i7_2600());
         auto mapper = make_mapper(device);
@@ -199,8 +200,8 @@ int main(int argc, char** argv) {
         pipeline::SamEmitter emitter(sam, multi, emit_config);
         emitter.write_header();
         emitter.emit(batch, result);
-        mono_best = std::min(mono_best, timer.seconds());
-        mono_sam = sam.str();
+        batch_best = std::min(batch_best, timer.seconds());
+        batch_sam = sam.str();
     }
 
     // Streaming: the same work overlapped through the pipeline.
@@ -225,31 +226,36 @@ int main(int argc, char** argv) {
         pipeline::StreamingFastxReader reader(in, reader_config);
         pipeline::SamEmitter emitter(sam, multi, emit_config);
         emitter.write_header();
-        const auto stats = pipeline::run_mapping_pipeline(
+        pipeline::RecordReorderWriter writer(sam);
+        const auto stats = pipeline::run_bucketed_pipeline(
             reader, mappers, delta,
-            [&](std::size_t, const genomics::ReadBatch& batch,
+            [&](std::size_t, const pipeline::OrderedBatch& unit,
                 const core::MapResult& result) {
-                emitter.emit(batch, result);
+                for (std::size_t i = 0; i < unit.batch.size(); ++i) {
+                    writer.add(unit.ordinals[i],
+                               emitter.render_read(unit.batch, i, result));
+                }
             },
             pipe_config);
+        writer.finish();
         stream_best = std::min(stream_best, timer.seconds());
         stream_sam = sam.str();
         stream_stats = stats;
     }
 
-    if (mono_sam != stream_sam) {
+    if (batch_sam != stream_sam) {
         std::fprintf(stderr,
-                     "FAIL: streaming SAM diverges from monolithic "
+                     "FAIL: streaming SAM diverges from one-batch "
                      "(%zu vs %zu bytes)\n",
-                     stream_sam.size(), mono_sam.size());
+                     stream_sam.size(), batch_sam.size());
         return 1;
     }
     std::printf("outputs byte-identical (%zu bytes)  [OK]\n",
-                mono_sam.size());
+                batch_sam.size());
     std::printf("%s", stream_stats.format().c_str());
     const double speedup =
-        mono_best > 0.0 ? (mono_best / stream_best - 1.0) * 100.0 : 0.0;
-    std::printf("monolithic  best of %zu: %8.3f s\n", repeats, mono_best);
+        batch_best > 0.0 ? (batch_best / stream_best - 1.0) * 100.0 : 0.0;
+    std::printf("one-batch   best of %zu: %8.3f s\n", repeats, batch_best);
     std::printf("streaming   best of %zu: %8.3f s  (%+.1f%% throughput)\n",
                 repeats, stream_best, speedup);
     return 0;

@@ -40,14 +40,6 @@ with >= 2 CPUs — on a single-core runner it degrades to the identity
 check and says so. --only-shard runs just this gate (the CI shard tier
 uses it so the micro-kernel suite is not re-run).
 
-The mixed-length fixture (`mixed_bench`) gate: the bucketed pipeline
-must emit byte-identical SAM to the fixed-length path on uniform input
-(the fixture's exit code covers identity) and must reach
---mixed-min-ratio of the fixed path's throughput (0 disables; the CI
-mixed tier passes 0.9). Both walls come from the same process on the
-same machine, so the ratio needs no normalization. --only-mixed runs
-just this gate.
-
 Usage:
   ci/check_bench.py [--binary build/bench/micro_kernels]
                     [--baseline BENCH_kernels.json] [--tolerance 25]
@@ -56,8 +48,6 @@ Usage:
                     [--xfer-min-speedup 1.15] [--update-baseline]
                     [--shard-binary build/bench/shard_bench]
                     [--shard-min-build-speedup 1.5] [--only-shard]
-                    [--mixed-binary build/bench/mixed_bench]
-                    [--mixed-min-ratio 0.9] [--only-mixed]
 """
 
 import argparse
@@ -203,42 +193,6 @@ def run_shard_gate(binary, min_speedup, out_path):
     return ok
 
 
-def run_mixed_gate(binary, min_ratio, out_path):
-    """Runs the mixed-length fixture; returns True when it passes.
-
-    The fixture itself byte-compares bucketed vs fixed-path SAM on
-    uniform input (its exit code covers identity); this gate
-    additionally requires the printed throughput ratio to clear the
-    floor. Both walls are measured in the same process run, so the
-    ratio is gated raw.
-    """
-    if not os.path.exists(binary):
-        print(f"mixed gate: FAIL — {binary} not built")
-        return False
-    proc = subprocess.run(
-        [binary, "--out", out_path], capture_output=True, text=True
-    )
-    sys.stdout.write(proc.stdout)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        print(f"mixed gate: FAIL — {binary} exited {proc.returncode}")
-        return False
-    match = re.search(
-        r"^mixed_uniform_ratio:\s*([0-9.]+)", proc.stdout, re.M
-    )
-    if not match:
-        print("mixed gate: FAIL — no mixed_uniform_ratio line in output")
-        return False
-    ratio = float(match.group(1))
-    ok = ratio >= min_ratio
-    print(
-        f"mixed gate: bucketed pipeline at {ratio:.3f}x of the fixed "
-        f"path on uniform input (need >= {min_ratio:.2f}x)"
-        f"{'' if ok else '  << BELOW CRITERION'}"
-    )
-    return ok
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--binary", default="build/bench/micro_kernels")
@@ -307,29 +261,6 @@ def main():
         help="run only the sharding gate (skip the micro-kernel "
         "comparison and the transfer-overlap gate)",
     )
-    parser.add_argument(
-        "--mixed-binary",
-        default="build/bench/mixed_bench",
-        help="mixed-length batching fixture binary",
-    )
-    parser.add_argument(
-        "--mixed-min-ratio",
-        type=float,
-        default=0.0,
-        help="required bucketed-vs-fixed throughput ratio on uniform "
-        "input (0 disables the gate; the CI mixed tier passes 0.9)",
-    )
-    parser.add_argument(
-        "--mixed-out",
-        default="BENCH_mixed.json",
-        help="where the mixed-length fixture writes its JSON report",
-    )
-    parser.add_argument(
-        "--only-mixed",
-        action="store_true",
-        help="run only the mixed-length gate (skip the micro-kernel "
-        "comparison and the other fixture gates)",
-    )
     args = parser.parse_args()
 
     if args.only_shard:
@@ -342,16 +273,6 @@ def main():
             print("\nFAIL: sharding gate below criterion")
             return 1
         print("\nOK: sharding gate passed")
-        return 0
-
-    if args.only_mixed:
-        ok = run_mixed_gate(
-            args.mixed_binary, args.mixed_min_ratio, args.mixed_out
-        )
-        if not ok:
-            print("\nFAIL: mixed-length gate below criterion")
-            return 1
-        print("\nOK: mixed-length gate passed")
         return 0
 
     report = run_benchmarks(
@@ -438,19 +359,7 @@ def main():
             args.shard_out,
         )
 
-    mixed_ok = True
-    if args.mixed_min_ratio > 0:
-        mixed_ok = run_mixed_gate(
-            args.mixed_binary, args.mixed_min_ratio, args.mixed_out
-        )
-
-    if (
-        regressions
-        or ratio_failures
-        or not xfer_ok
-        or not shard_ok
-        or not mixed_ok
-    ):
+    if regressions or ratio_failures or not xfer_ok or not shard_ok:
         if regressions:
             print(
                 f"\nFAIL: {len(regressions)} benchmark(s) regressed more "
@@ -465,8 +374,6 @@ def main():
             print("\nFAIL: transfer-overlap gate below criterion")
         if not shard_ok:
             print("\nFAIL: sharding gate below criterion")
-        if not mixed_ok:
-            print("\nFAIL: mixed-length gate below criterion")
         return 1
     print(f"\nOK: no benchmark regressed more than {args.tolerance:.0f}%")
     return 0

@@ -1,14 +1,15 @@
-// map_fastq — the monolithic (load-everything-then-map) reference path.
+// map_fastq — the one-batch (load-everything-then-map) reference path.
 //
 //   map_fastq --reference ref.fa --reads reads.fastq [--delta 5]
 //             [--smin 14] [--max-locations 100] [--out out.sam]
 //             [--cigar true]
 //
 // For real work prefer the `repute` CLI (src/cli), which streams the
-// same mapping through the bounded batch pipeline; this example stays
-// as the simplest possible end-to-end program and as the equivalence
-// oracle the streaming tests compare against (both paths share
-// pipeline::SamEmitter, so their SAM output is byte-identical).
+// same mapping through the bounded, length-bucketed batch pipeline;
+// this example stays as the simplest possible end-to-end program — the
+// same one-batch shape the streaming tests use as their oracle (both
+// paths render through pipeline::SamEmitter, so their SAM output is
+// byte-identical).
 //
 // Multi-sequence FASTA references are supported (sequences are indexed
 // as one concatenated text; mappings crossing a boundary are dropped

@@ -3,8 +3,9 @@
 //
 //   genomics -> simulate_genome / simulate_reads
 //   index    -> FmIndex
-//   core     -> make_repute, MapResult, to_sam
+//   core     -> make_repute, MapResult
 //   ocl      -> Platform / devices
+//   pipeline -> SamEmitter (the SAM renderer)
 //
 // Build & run:   ./examples/quickstart [--reads N] [--genome BP]
 
@@ -14,9 +15,11 @@
 #include "core/report.hpp"
 #include "core/repute_mapper.hpp"
 #include "genomics/genome_sim.hpp"
+#include "genomics/multi_reference.hpp"
 #include "genomics/read_sim.hpp"
 #include "index/fm_index.hpp"
 #include "ocl/platform.hpp"
+#include "pipeline/sam_emitter.hpp"
 #include "util/args.hpp"
 
 using namespace repute;
@@ -56,11 +59,15 @@ int main(int argc, char** argv) {
 
     std::printf("%s", core::format_map_report(sim.batch, result).c_str());
 
-    // 5. SAM output (first few records).
-    const auto sam = core::to_sam(sim.batch, result, reference.name());
+    // 5. SAM output (header + first few reads), with CIGAR strings from
+    //    host-side re-alignment.
+    const genomics::MultiReference multi(reference);
     std::ostringstream out;
-    genomics::write_sam(out, reference.name(), reference.size(),
-                        {sam.begin(), sam.begin() + 5});
+    pipeline::SamEmitter emitter(out, multi, {true, 5});
+    emitter.write_header();
+    for (std::size_t i = 0; i < 5 && i < sim.batch.size(); ++i) {
+        out << emitter.render_read(sim.batch, i, result);
+    }
     std::printf("--- first SAM records ---\n%s", out.str().c_str());
     return 0;
 }

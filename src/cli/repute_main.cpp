@@ -9,9 +9,6 @@
 // pipeline::MappingSession, so the SAM bytes are identical whether the
 // index was built in-process, mmap'd from a .rix container, or queried
 // over the daemon socket — the serve CI tier diffs exactly that.
-//
-// The pre-subcommand flat form (`repute --reference ... --reads ...`)
-// still works as a deprecated alias for `repute map`.
 
 #include <atomic>
 #include <csignal>
@@ -52,9 +49,6 @@ commands:
   client        submit reads to a running daemon
 
 run `repute <command> --help` for the command's options.
-
-deprecated: the flat form `repute --reference ref.fa --reads r.fq ...`
-still runs `repute map` (with --reference meaning --ref).
 )";
 
 constexpr const char* kIndexUsage = R"(repute index build — precompute a mmap-able index container
@@ -109,7 +103,6 @@ pipeline:
                         reads bucket by length rounded up to a multiple
                         of N, padded virtually within a class
                         (default 16)
-  --monolithic          load whole file, map once, then write
 devices:
   --platform NAME       system1 (i7 + 2x GTX590) | system2 (HiKey970)
   --devices LIST        comma-separated device names (default i7-2600)
@@ -219,13 +212,12 @@ pipeline::SessionConfig session_config_from(const util::Args& args) {
     return config;
 }
 
-/// Builds the session from --index (mmap) or --ref/--reference
-/// (in-process), reporting source + load time to stderr.
+/// Builds the session from --index (mmap) or --ref (in-process),
+/// reporting source + load time to stderr.
 std::unique_ptr<pipeline::MappingSession> open_session(
     const util::Args& args, pipeline::SessionConfig config) {
     const std::string rix = args.get_string("index", "");
-    std::string fasta = args.get_string("ref", "");
-    if (fasta.empty()) fasta = args.get_string("reference", "");
+    const std::string fasta = args.get_string("ref", "");
     if (rix.empty() == fasta.empty()) {
         throw CliError("exactly one of --ref or --index is required");
     }
@@ -372,18 +364,12 @@ int run_index_build(const util::Args& args) {
 
 // ----------------------------------------------------------------- map
 
-int run_map(const util::Args& args, bool deprecated_form) {
-    const bool has_source = args.has("ref") || args.has("reference") ||
-                            args.has("index");
+int run_map(const util::Args& args) {
+    const bool has_source = args.has("ref") || args.has("index");
     const std::string reads_path = args.get_string("reads", "");
     if (args.has("help") || !has_source || reads_path.empty()) {
         std::fputs(kMapUsage, args.has("help") ? stdout : stderr);
         return args.has("help") ? 0 : 2;
-    }
-    if (deprecated_form) {
-        std::fprintf(stderr,
-                     "repute: the flat invocation is deprecated; use "
-                     "`repute map --ref ...` (see `repute --help`)\n");
     }
     const TraceScope trace(args.get_string("trace", ""),
                            args.get_bool("xfer-trace", false));
@@ -397,7 +383,6 @@ int run_map(const util::Args& args, bool deprecated_form) {
     request.delta =
         static_cast<std::uint32_t>(args.get_int("delta", 5));
     request.cigar = args.get_bool("cigar", true);
-    request.monolithic = args.has("monolithic");
     request.map_workers = session->config().mapper_pool;
     request.queue_depth =
         static_cast<std::size_t>(args.get_int("queue-depth", 4));
@@ -585,19 +570,16 @@ int main(int argc, char** argv) {
                 }
                 return run_index_build(args);
             }
-            if (command == "map") return run_map(args, false);
+            if (command == "map") return run_map(args);
             if (command == "serve") return run_serve(args);
             if (command == "client") return run_client_cmd(args);
             std::fprintf(stderr, "repute: unknown command '%s'\n\n%s",
                          command.c_str(), kUsage);
             return 2;
         }
-        const util::Args args(argc, argv);
-        if (args.has("help") || argc < 2) {
-            std::fputs(kUsage, argc < 2 ? stderr : stdout);
-            return argc < 2 ? 2 : 0;
-        }
-        return run_map(args, true); // deprecated flat form
+        const bool help = util::Args(argc, argv).has("help");
+        std::fputs(kUsage, help ? stdout : stderr);
+        return help ? 0 : 2;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "repute: %s\n", e.what());
         return 1;

@@ -5,9 +5,10 @@
 // The mapping kernel reports candidate-diagonal positions and edit
 // distances only (cheap, GPU-friendly). This host-side pass re-aligns
 // each reported mapping with the full-traceback DP to recover the
-// precise alignment start and the CIGAR string, upgrading the SAM-lite
-// output to spec-level records. Cost is O(n * (n + 2*delta)) per
-// mapping, paid only for the mappings actually emitted.
+// precise alignment start and the CIGAR string; pipeline::SamEmitter
+// calls it per emitted mapping to write spec-level records. Cost is
+// O(n * (n + 2*delta)) per mapping, paid only for the mappings actually
+// emitted.
 
 #include <optional>
 #include <string>
@@ -30,13 +31,5 @@ struct AnnotatedMapping {
 std::optional<AnnotatedMapping> annotate_mapping(
     const genomics::Reference& reference, const genomics::Read& read,
     const ReadMapping& mapping, std::uint32_t delta);
-
-/// SAM export with precise positions and CIGAR strings. Unannotatable
-/// mappings (see annotate_mapping) are dropped with a warning count in
-/// `dropped` when non-null.
-std::vector<genomics::SamRecord> to_sam_with_cigar(
-    const genomics::ReadBatch& batch, const MapResult& result,
-    const genomics::Reference& reference, std::uint32_t delta,
-    std::size_t* dropped = nullptr);
 
 } // namespace repute::core

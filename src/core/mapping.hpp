@@ -99,10 +99,4 @@ public:
     virtual double power_scale() const noexcept { return 1.0; }
 };
 
-/// Converts a map result to SAM-lite records (primary = lowest edit
-/// distance; others flagged secondary).
-std::vector<genomics::SamRecord> to_sam(const genomics::ReadBatch& batch,
-                                        const MapResult& result,
-                                        const std::string& reference_name);
-
 } // namespace repute::core

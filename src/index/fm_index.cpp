@@ -5,7 +5,6 @@
 
 #include "index/qgram_table.hpp"
 #include "index/suffix_array.hpp"
-#include "util/serialize.hpp"
 
 namespace repute::index {
 
@@ -28,11 +27,6 @@ inline std::uint32_t count_eq(std::uint64_t word, std::uint8_t code,
     return static_cast<std::uint32_t>(
         std::popcount(~diff & kLowBits & region));
 }
-
-// v1 stored checkpoints and BWT as separate arrays; v2 is the
-// interleaved-block layout (on disk: flat BWT, blocks rebuilt on load).
-constexpr std::uint32_t kMagicV1 = 0x464D4958u; // "FMIX"
-constexpr std::uint32_t kMagicV2 = 0x464D4932u; // "FMI2"
 
 thread_local std::uint64_t tls_occ_words = 0;
 
@@ -224,16 +218,6 @@ void FmIndex::build_blocks(std::span<const std::uint64_t> flat_bwt) {
     }
 }
 
-std::vector<std::uint64_t> FmIndex::flat_bwt() const {
-    std::vector<std::uint64_t> flat((rows() + 31) / 32);
-    for (std::size_t g = 0; g < flat.size(); ++g) {
-        const auto b = static_cast<std::uint32_t>(g / words_per_block_);
-        const auto w = static_cast<std::uint32_t>(g % words_per_block_);
-        flat[g] = block_words(b)[2 + w];
-    }
-    return flat;
-}
-
 void FmIndex::build_qgrams() {
     if (qgram_length_ == 0) return;
     // Effective q is capped so the table never outweighs the text it
@@ -313,52 +297,6 @@ void FmIndex::locate_range(Range r, std::size_t max_hits,
     for (std::size_t k = 0; k < limit; ++k) {
         out.push_back(locate(r.lo + static_cast<std::uint32_t>(k)));
     }
-}
-
-void FmIndex::save(std::ostream& out) const {
-    util::write_magic(out, kMagicV2);
-    util::write_pod<std::uint64_t>(out, n_);
-    for (const auto c : c_) util::write_pod<std::uint32_t>(out, c);
-    util::write_vector(out, flat_bwt());
-    util::write_pod<std::uint32_t>(out, sentinel_row_);
-    util::write_pod<std::uint32_t>(out, sa_sample_);
-    util::write_pod<std::uint32_t>(out, checkpoint_every_);
-    util::write_pod<std::uint32_t>(out, qgram_length_);
-    sampled_rows_.save(out);
-    util::write_span(out, samples_);
-}
-
-FmIndex FmIndex::load(std::istream& in) {
-    const auto magic = util::read_pod<std::uint32_t>(in);
-    if (magic == kMagicV1) {
-        throw std::runtime_error(
-            "FmIndex: legacy FMIX image (pre-interleaved layout) — "
-            "rebuild the index with this binary");
-    }
-    if (magic != kMagicV2) {
-        throw std::runtime_error("serialize: bad magic for FmIndex");
-    }
-    FmIndex fm;
-    fm.n_ = util::read_pod<std::uint64_t>(in);
-    for (auto& c : fm.c_) c = util::read_pod<std::uint32_t>(in);
-    const auto flat = util::read_vector<std::uint64_t>(in);
-    fm.sentinel_row_ = util::read_pod<std::uint32_t>(in);
-    fm.sa_sample_ = util::read_pod<std::uint32_t>(in);
-    fm.checkpoint_every_ = util::read_pod<std::uint32_t>(in);
-    fm.qgram_length_ = util::read_pod<std::uint32_t>(in);
-    fm.validate_geometry();
-    if (flat.size() != (fm.rows() + 31) / 32) {
-        throw std::runtime_error("FmIndex: corrupt BWT payload");
-    }
-    fm.build_blocks(flat);
-    fm.sampled_rows_ = util::BitVector::load(in);
-    fm.owned_samples_ = util::read_vector<std::uint32_t>(in);
-    fm.samples_ = fm.owned_samples_;
-    if (fm.samples_.size() != fm.sampled_rows_.count_ones()) {
-        throw std::runtime_error("FmIndex: corrupt SA samples");
-    }
-    fm.build_qgrams();
-    return fm;
 }
 
 std::size_t FmIndex::memory_bytes() const noexcept {

@@ -21,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <vector>
@@ -192,16 +191,8 @@ public:
     /// add per occ; no atomics on the hot path).
     static std::uint64_t thread_occ_words() noexcept;
 
-    /// Binary serialization — build once, reuse across runs (index
-    /// construction dominates start-up for large references). The
-    /// on-disk format stores the flat BWT; interleaved blocks and the
-    /// q-gram table are rebuilt on load. Pre-interleaving "FMIX" images
-    /// are rejected with a "rebuild" error.
-    void save(std::ostream& out) const;
-    static FmIndex load(std::istream& in);
-
 private:
-    FmIndex() = default; // for load()
+    FmIndex() = default; // for from_view()
 
     /// 64-byte-aligned backing storage for the interleaved blocks.
     struct alignas(64) Line {
@@ -265,7 +256,6 @@ private:
     /// checkpoint_every_ — shared by the build and view paths.
     void derive_geometry();
     void build_blocks(std::span<const std::uint64_t> flat_bwt);
-    std::vector<std::uint64_t> flat_bwt() const;
     void build_qgrams();
 };
 

@@ -1,12 +1,10 @@
 #pragma once
-// .rix — the mappable index container (tentpole of the serving stack).
+// .rix — the mappable index container and the one on-disk index format.
 //
-// The iostream FMI2 image optimizes for compactness: it stores the flat
-// BWT and rebuilds the interleaved rank blocks and q-gram table on every
-// load, which costs a construction-shaped burst of CPU and doubles peak
-// memory. A daemon that holds one index resident for hours wants the
-// opposite trade: pay layout cost once at `repute index build` time and
-// make loads O(sections) — open, checksum, point spans at the mapping.
+// The layout cost is paid once at `repute index build` time, so loads
+// are O(sections) — open, checksum, point spans at the mapping — rather
+// than a construction-shaped burst of CPU that doubles peak memory. A
+// daemon holding one index resident for hours wants exactly that trade.
 //
 // Layout (little-endian only; the header carries an endian tag so a
 // foreign-order file is rejected, not misread):
@@ -31,8 +29,9 @@
 //                name per sequence (u64 count + u64 len + bytes each)
 //   SeqStarts    sequence boundaries (u32, sequence_count + 1 entries)
 //
-// Legacy "FMIX"/"FMI2" stream images and truncated or bit-flipped files
-// fail with distinct, actionable errors (test_rix.cpp pins them).
+// Images in the retired "FMIX"/"FMI2" iostream formats (written by
+// earlier releases) and truncated or bit-flipped files fail with
+// distinct, actionable errors (test_rix.cpp pins them).
 
 #include <array>
 #include <cstdint>

@@ -55,7 +55,9 @@ private:
 /// request latencies). 64 buckets cover binary exponents [-32, 31] —
 /// nanoseconds to decades when values are seconds — so quantile() is
 /// exact to within a factor of 2, which is what a p50/p99 latency
-/// report needs (the serve tier asserts on them).
+/// report needs (the serve tier asserts on them). Non-positive
+/// observations land in an explicit zero bucket, so a quantile that
+/// falls on exact zeros reports 0, not the smallest bucket's bound.
 class Histogram {
 public:
     static constexpr std::size_t kBuckets = 64;
@@ -66,6 +68,7 @@ public:
         double sum = 0.0;
         double min = 0.0;
         double max = 0.0;
+        std::uint64_t zeros = 0; ///< observations <= 0
         std::array<std::uint64_t, kBuckets> buckets{};
 
         double mean() const noexcept {
@@ -73,13 +76,15 @@ public:
         }
 
         /// Upper bound of the bucket containing the q-quantile
-        /// (0 <= q <= 1) observation, clamped to the observed extremes.
-        /// Returns 0 with no observations.
+        /// (0 <= q <= 1) observation, clamped to the observed extremes;
+        /// 0 when that observation is in the zero bucket. Returns 0
+        /// with no observations.
         double quantile(double q) const noexcept {
             if (count == 0) return 0.0;
             const auto rank = static_cast<std::uint64_t>(
                 q * static_cast<double>(count - 1));
-            std::uint64_t seen = 0;
+            if (rank < zeros) return std::min(std::max(0.0, min), max);
+            std::uint64_t seen = zeros;
             for (std::size_t b = 0; b < kBuckets; ++b) {
                 seen += buckets[b];
                 if (seen > rank) {
@@ -92,8 +97,9 @@ public:
         }
     };
 
+    /// Log bucket of a positive value (callers route non-positive
+    /// values to the zero bucket).
     static std::size_t bucket_of(double value) noexcept {
-        if (!(value > 0.0)) return 0;
         int exponent = 0;
         std::frexp(value, &exponent); // value in [2^(e-1), 2^e)
         const int b = exponent - 1 - kMinExponent;
@@ -108,7 +114,11 @@ public:
         if (state_.count == 0 || value > state_.max) state_.max = value;
         ++state_.count;
         state_.sum += value;
-        ++state_.buckets[bucket_of(value)];
+        if (value > 0.0) {
+            ++state_.buckets[bucket_of(value)];
+        } else {
+            ++state_.zeros;
+        }
     }
 
     Snapshot snapshot() const {

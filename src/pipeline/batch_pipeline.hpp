@@ -13,9 +13,13 @@
 // out of order. Bounded queues give backpressure in both directions:
 // the reader can run at most queue_depth batches ahead (batch i+1
 // parses while batch i maps — the double buffer generalized), and a
-// slow writer pauses mapping rather than letting results pile up. Peak
-// pipeline memory is therefore O(queue_depth x batch size), not file
-// size.
+// slow writer pauses mapping rather than letting results pile up. The
+// ordering buffer is bounded too: the reader admits a unit only while
+// fewer than 2 x queue_depth + map_workers + 2 units are resident
+// anywhere (both queues full, every worker busy, one unit in the
+// reader's hands, one being emitted), so a worker stuck on one slow
+// unit cannot let the others race ahead without limit. Peak pipeline
+// memory is therefore O(queue_depth x batch size), not file size.
 //
 // The template is unit-agnostic so single-end batches (ReadBatch ->
 // MapResult) and paired lockstep batches share one engine; see
@@ -86,9 +90,17 @@ public:
         InFlightGauge in_flight;
 
         auto capture = [&](std::exception_ptr error) {
-            const std::lock_guard lock(error_mutex);
-            if (!first_error) first_error = std::move(error);
+            {
+                const std::lock_guard lock(error_mutex);
+                if (!first_error) first_error = std::move(error);
+            }
+            // A failed stage may strand units the writer will never
+            // emit; the reader must not wait for their window slots.
+            in_flight.cancel();
         };
+        const std::size_t window =
+            2 * config_.queue_depth + config_.map_workers + 2;
+        double window_stall_seconds = 0.0;
 
         const util::Stopwatch wall;
 
@@ -97,6 +109,10 @@ public:
                 std::size_t seq = 0;
                 util::Stopwatch busy;
                 for (;;) {
+                    busy.reset();
+                    const bool admitted = in_flight.wait_below(window);
+                    window_stall_seconds += busy.seconds();
+                    if (!admitted) break; // an error elsewhere
                     busy.reset();
                     Unit unit;
                     const bool more = source(unit);
@@ -196,7 +212,8 @@ public:
         for (auto& worker : workers) worker.join();
         writer.join();
 
-        stats.reader_stall_seconds = in.push_stall_seconds();
+        stats.reader_stall_seconds =
+            in.push_stall_seconds() + window_stall_seconds;
         stats.map_stall_seconds =
             in.pop_stall_seconds() + out.push_stall_seconds();
         stats.writer_stall_seconds = out.pop_stall_seconds();

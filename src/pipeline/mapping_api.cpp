@@ -214,10 +214,6 @@ MapResponse MappingSession::map(const MapRequest& request,
         throw std::invalid_argument(
             "MappingSession: request carries no reads stream");
     }
-    if (request.monolithic && request.reads2 != nullptr) {
-        throw std::invalid_argument(
-            "MappingSession: monolithic requests are single-end only");
-    }
 
     const util::Stopwatch wall;
     const PoolGrant grant(*this, acquire(request.map_workers),
@@ -268,20 +264,6 @@ MapResponse MappingSession::map(const MapRequest& request,
         response.reads_in =
             2 * (reader.stats().records + reader.stats().dropped());
         response.dropped = 2 * reader.stats().dropped();
-    } else if (request.monolithic) {
-        std::size_t length_dropped = 0;
-        const auto batch = genomics::to_read_batch(
-            genomics::read_fastq(*request.reads), &length_dropped);
-        if (batch.empty()) {
-            throw std::runtime_error(
-                "MappingSession: no reads in monolithic request");
-        }
-        const auto result = mappers.front()->map(batch, request.delta);
-        emitter.emit(batch, result);
-        response.reads_in = batch.size() + length_dropped;
-        response.dropped = length_dropped;
-        response.xfer_bytes_staged = result.bytes_staged();
-        response.xfer_bytes_drained = result.bytes_drained();
     } else { // single-end streaming (length-bucketed)
         StreamingFastxReader reader(*request.reads, request.reader);
         RecordReorderWriter writer(sam_out);

@@ -7,8 +7,9 @@
 // platform and a pool of mappers, and serves MapRequests — FASTQ/FASTA
 // payload streams in, SAM bytes out — through one code path shared by
 // the one-shot CLI (`repute map`), the daemon (`repute serve`), the
-// benches and the tests. run_mapping_pipeline/run_paired_pipeline remain
-// as the internal engine underneath; constructing mappers by hand via
+// benches and the tests. Every request is length-bucketed
+// (run_bucketed_pipeline / run_bucketed_paired_pipeline) and rendered
+// by one SamEmitter; constructing mappers by hand via
 // make_repute/make_coral is for code that needs to bypass the session
 // (kernel benches, device-level tests).
 //
@@ -83,9 +84,6 @@ struct MapRequest {
     std::istream* reads2 = nullptr; ///< second mates -> paired-end
     std::uint32_t delta = 5;
     bool cigar = true;
-    /// Parse-everything-then-map reference path (no streaming overlap);
-    /// single-end only.
-    bool monolithic = false;
     /// Mappers wanted; the grant is fair-share clamped (see above).
     std::size_t map_workers = 1;
     std::size_t queue_depth = 4;
@@ -97,15 +95,15 @@ struct MapRequest {
 };
 
 struct MapResponse {
-    PipelineStats pipeline; ///< zeroed for monolithic requests
+    PipelineStats pipeline;
     SamEmitter::Stats emitted;
     std::size_t reads_in = 0;
     std::size_t dropped = 0;
     std::size_t workers_granted = 0;
     double wall_seconds = 0.0;
-    /// Host<->device traffic this request staged/drained (single-end and
-    /// monolithic paths; paired requests leave them 0). Counted even
-    /// when transfers are unmodeled.
+    /// Host<->device traffic this request staged/drained (single-end
+    /// only; paired requests leave them 0). Counted even when transfers
+    /// are unmodeled.
     std::uint64_t xfer_bytes_staged = 0;
     std::uint64_t xfer_bytes_drained = 0;
 };

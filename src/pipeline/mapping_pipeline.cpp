@@ -4,56 +4,6 @@
 
 namespace repute::pipeline {
 
-PipelineStats run_mapping_pipeline(StreamingFastxReader& reader,
-                                   std::span<core::Mapper* const> mappers,
-                                   std::uint32_t delta,
-                                   const BatchSink& sink,
-                                   PipelineConfig config) {
-    if (mappers.empty()) {
-        throw std::invalid_argument("run_mapping_pipeline: no mappers");
-    }
-    config.map_workers = mappers.size();
-    BatchPipeline<genomics::ReadBatch, core::MapResult> engine(config);
-    return engine.run(
-        [&](genomics::ReadBatch& batch) {
-            return reader.next_batch(batch);
-        },
-        [&](const genomics::ReadBatch& batch, std::size_t worker) {
-            return mappers[worker]->map(batch, delta);
-        },
-        [&](std::size_t seq, const genomics::ReadBatch& batch,
-            const core::MapResult& result) { sink(seq, batch, result); });
-}
-
-PipelineStats run_paired_pipeline(
-    StreamingFastxReader& reader1, StreamingFastxReader& reader2,
-    std::span<core::PairedMapper* const> mappers, std::uint32_t delta,
-    const PairedSink& sink, PipelineConfig config) {
-    if (mappers.empty()) {
-        throw std::invalid_argument("run_paired_pipeline: no mappers");
-    }
-    config.map_workers = mappers.size();
-    BatchPipeline<PairedUnit, core::PairedResult> engine(config);
-    return engine.run(
-        [&](PairedUnit& unit) {
-            const bool more1 = reader1.next_batch(unit.first);
-            const bool more2 = reader2.next_batch(unit.second);
-            if (more1 != more2 ||
-                unit.first.size() != unit.second.size()) {
-                throw std::runtime_error(
-                    "paired inputs desynchronized: mate files yield "
-                    "different record counts");
-            }
-            return more1;
-        },
-        [&](const PairedUnit& unit, std::size_t worker) {
-            return mappers[worker]->map_pairs(unit.first, unit.second,
-                                              delta);
-        },
-        [&](std::size_t seq, const PairedUnit& unit,
-            const core::PairedResult& result) { sink(seq, unit, result); });
-}
-
 PipelineStats run_bucketed_pipeline(
     StreamingFastxReader& reader, std::span<core::Mapper* const> mappers,
     std::uint32_t delta, const OrderedBatchSink& sink,

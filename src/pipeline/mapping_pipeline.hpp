@@ -1,10 +1,10 @@
 #pragma once
-// Concrete mapping front-ends over the generic BatchPipeline: stream a
-// FASTQ/FASTA file (or a lockstep pair of them) through one or more
-// mappers into an ordered sink. These are the functions the repute CLI,
-// the pipeline_throughput bench and the streaming tests call; they wire
-// the reader/map/sink callbacks and keep per-worker mapper ownership at
-// the caller.
+// The mapping front end over the generic BatchPipeline: stream a
+// FASTQ/FASTA file (or a lockstep pair of them) as length-class buckets
+// through one or more mappers into an ordered sink. MappingSession, the
+// pipeline_throughput bench and the streaming tests call these; they
+// wire the reader/map/sink callbacks and keep per-worker mapper
+// ownership at the caller.
 
 #include <functional>
 #include <span>
@@ -16,41 +16,6 @@
 
 namespace repute::pipeline {
 
-/// Ordered single-end sink: batches arrive with consecutive `seq`
-/// starting at 0, in input order.
-using BatchSink = std::function<void(std::size_t seq,
-                                     const genomics::ReadBatch& batch,
-                                     const core::MapResult& result)>;
-
-/// Streams `reader` through `mappers` (one map worker per mapper; each
-/// worker calls only its own mapper, so mappers need not be shareable)
-/// at edit budget `delta` into `sink`. Returns the stage accounting.
-PipelineStats run_mapping_pipeline(StreamingFastxReader& reader,
-                                   std::span<core::Mapper* const> mappers,
-                                   std::uint32_t delta,
-                                   const BatchSink& sink,
-                                   PipelineConfig config = {});
-
-/// A lockstep pair of mate batches (first.reads[i] pairs with
-/// second.reads[i]).
-struct PairedUnit {
-    genomics::ReadBatch first;
-    genomics::ReadBatch second;
-};
-
-using PairedSink = std::function<void(std::size_t seq,
-                                      const PairedUnit& unit,
-                                      const core::PairedResult& result)>;
-
-/// Paired-end variant: `reader1`/`reader2` stream the mate files in
-/// lockstep (same batch size enforced; a record-count mismatch between
-/// the files throws — run with OnMalformed::Fail to keep mates
-/// synchronized in the presence of malformed records).
-PipelineStats run_paired_pipeline(
-    StreamingFastxReader& reader1, StreamingFastxReader& reader2,
-    std::span<core::PairedMapper* const> mappers, std::uint32_t delta,
-    const PairedSink& sink, PipelineConfig config = {});
-
 /// Ordered bucketed sink: buckets arrive with consecutive `seq` in
 /// *dispatch* order. That is not input record order — buckets of
 /// different length classes interleave — so sinks that need input
@@ -59,9 +24,11 @@ using OrderedBatchSink = std::function<void(
     std::size_t seq, const OrderedBatch& unit,
     const core::MapResult& result)>;
 
-/// Mixed-length variant of run_mapping_pipeline: streams length-class
-/// buckets from reader.next_bucket() through the same engine. Each
-/// bucket is internally uniform (read_length = class ceiling), so any
+/// Streams length-class buckets from reader.next_bucket() through
+/// `mappers` (one map worker per mapper; each worker calls only its own
+/// mapper, so mappers need not be shareable) at edit budget `delta`
+/// into `sink`, and returns the stage accounting. Each bucket is
+/// internally uniform (read_length = class ceiling), so any
 /// fixed-scratch Mapper maps it exactly like a uniform batch.
 PipelineStats run_bucketed_pipeline(
     StreamingFastxReader& reader, std::span<core::Mapper* const> mappers,
@@ -72,8 +39,8 @@ using OrderedPairSink = std::function<void(
     std::size_t seq, const OrderedPairBatch& unit,
     const core::PairedResult& result)>;
 
-/// Mixed-length paired variant over a lockstep PairedStreamingReader
-/// (desync detection lives in the reader).
+/// Paired-end variant over a lockstep PairedStreamingReader (desync
+/// detection lives in the reader).
 PipelineStats run_bucketed_paired_pipeline(
     PairedStreamingReader& reader,
     std::span<core::PairedMapper* const> mappers, std::uint32_t delta,

@@ -9,9 +9,10 @@
 // subsystem.
 
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 
 namespace repute::pipeline {
@@ -39,31 +40,51 @@ struct PipelineStats {
     std::string format() const;
 };
 
-/// Tracks how many units are resident in the pipeline and the peak.
+/// Tracks how many units are resident in the pipeline and the peak,
+/// and holds the reader back while a fixed window is full.
 class InFlightGauge {
 public:
-    void enter() noexcept {
-        const auto now =
-            count_.fetch_add(1, std::memory_order_relaxed) + 1;
-        auto peak = peak_.load(std::memory_order_relaxed);
-        while (now > peak &&
-               !peak_.compare_exchange_weak(peak, now,
-                                            std::memory_order_relaxed)) {
+    /// Blocks until fewer than `limit` units are resident. Returns false
+    /// (without waiting further) once cancel() has been called.
+    bool wait_below(std::size_t limit) {
+        std::unique_lock lock(mutex_);
+        room_.wait(lock, [&] { return cancelled_ || count_ < limit; });
+        return !cancelled_;
+    }
+    void enter() {
+        const std::lock_guard lock(mutex_);
+        peak_ = std::max(peak_, ++count_);
+    }
+    void leave() {
+        {
+            const std::lock_guard lock(mutex_);
+            --count_;
         }
+        room_.notify_one();
     }
-    void leave() noexcept {
-        count_.fetch_sub(1, std::memory_order_relaxed);
+    /// Releases a waiting reader for good (a stage failed).
+    void cancel() {
+        {
+            const std::lock_guard lock(mutex_);
+            cancelled_ = true;
+        }
+        room_.notify_all();
     }
-    double current() const noexcept {
-        return static_cast<double>(count_.load(std::memory_order_relaxed));
+    double current() const {
+        const std::lock_guard lock(mutex_);
+        return static_cast<double>(count_);
     }
-    std::size_t peak() const noexcept {
-        return peak_.load(std::memory_order_relaxed);
+    std::size_t peak() const {
+        const std::lock_guard lock(mutex_);
+        return peak_;
     }
 
 private:
-    std::atomic<std::size_t> count_{0};
-    std::atomic<std::size_t> peak_{0};
+    mutable std::mutex mutex_;
+    std::condition_variable room_;
+    std::size_t count_ = 0;
+    std::size_t peak_ = 0;
+    bool cancelled_ = false;
 };
 
 namespace detail {

@@ -136,24 +136,6 @@ void SamEmitter::finalize_pair_record(std::ostream& out,
     ++stats_.reads;
 }
 
-void SamEmitter::emit_paired(const genomics::ReadBatch& first,
-                             const genomics::ReadBatch& second,
-                             const core::PairedResult& result) {
-    auto records = core::paired_to_sam(
-        first, second, result, multi_->concatenated().name());
-    // records[2i] / records[2i+1] are pair i's first/second mate; each
-    // record's own placement is checked against its own read length and
-    // its PNEXT against the mate's.
-    for (std::size_t i = 0; i * 2 + 1 < records.size(); ++i) {
-        const auto len1 =
-            static_cast<std::uint32_t>(first.reads[i].length());
-        const auto len2 =
-            static_cast<std::uint32_t>(second.reads[i].length());
-        finalize_pair_record(*out_, records[2 * i], len1, len2);
-        finalize_pair_record(*out_, records[2 * i + 1], len2, len1);
-    }
-}
-
 std::vector<std::string> SamEmitter::render_paired(
     const genomics::ReadBatch& first, const genomics::ReadBatch& second,
     const core::PairedResult& result) {
@@ -161,6 +143,9 @@ std::vector<std::string> SamEmitter::render_paired(
         first, second, result, multi_->concatenated().name());
     std::vector<std::string> out;
     out.reserve(records.size() / 2);
+    // records[2i] / records[2i+1] are pair i's first/second mate; each
+    // record's own placement is checked against its own read length and
+    // its PNEXT against the mate's.
     for (std::size_t i = 0; i * 2 + 1 < records.size(); ++i) {
         const auto len1 =
             static_cast<std::uint32_t>(first.reads[i].length());

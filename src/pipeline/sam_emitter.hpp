@@ -2,11 +2,13 @@
 // Streaming SAM emission — the output stage of the batch pipeline.
 //
 // One SamEmitter owns an output stream for the duration of a run:
-// write_header() once, then emit() per mapped batch, in order. The
-// record formatting is the single source of truth shared by the
-// streaming CLI and the monolithic map_fastq path, which is what makes
-// "streaming output is byte-identical to monolithic output" a testable
-// property rather than a hope.
+// write_header() once, then emit() per mapped batch, in order — or
+// render_read()/render_paired() per read or pair when a
+// RecordReorderWriter restores input order downstream (the bucketed
+// streaming path). It is the only SAM renderer in the tree, shared by
+// the CLI, the daemon and the one-batch map_fastq example, which is
+// what makes "streaming output is byte-identical to one-batch output" a
+// testable property rather than a hope.
 //
 // Coordinates: mapping positions are on the concatenated multi-sequence
 // text; the emitter resolves them back to (sequence name, 1-based
@@ -57,18 +59,13 @@ public:
     void emit(const genomics::ReadBatch& batch,
               const core::MapResult& result);
 
-    /// Paired batch: two records per pair with mate flags and TLEN,
-    /// resolved to per-sequence coordinates. Mates whose placement
-    /// straddles a sequence boundary are demoted to unmapped records.
-    void emit_paired(const genomics::ReadBatch& first,
-                     const genomics::ReadBatch& second,
-                     const core::PairedResult& result);
-
-    /// render_*: the exact bytes emit()/emit_paired() would write for
-    /// one read (or one pair — two lines), returned instead of written.
-    /// Stats update as if emitted. Used by the bucketed streaming path,
-    /// which reorders per-read strings by global input ordinal before
-    /// they reach the output stream.
+    /// render_read: the exact bytes emit() would write for one read,
+    /// returned instead of written. render_paired: one string per pair
+    /// (two records with mate flags and TLEN, resolved to per-sequence
+    /// coordinates; mates whose placement straddles a sequence boundary
+    /// are demoted to unmapped records). Stats update as if emitted.
+    /// The bucketed streaming path reorders these per-read strings by
+    /// global input ordinal before they reach the output stream.
     std::string render_read(const genomics::ReadBatch& batch,
                             std::size_t index,
                             const core::MapResult& result);

@@ -43,63 +43,13 @@ genomics::Read make_read(const genomics::FastqRecord& record,
 
 StreamingFastxReader::StreamingFastxReader(std::istream& in,
                                            StreamingReaderConfig config)
-    : stream_(in, config.format), config_(config) {
-    stats_.read_length = config_.read_length;
-}
+    : stream_(in, config.format), config_(config) {}
 
 StreamingFastxReader::StreamingFastxReader(const std::string& path,
                                            StreamingReaderConfig config)
     : owned_(open_or_throw(path)),
       stream_(*owned_, config.format),
-      config_(config) {
-    stats_.read_length = config_.read_length;
-}
-
-bool StreamingFastxReader::next_batch(genomics::ReadBatch& out) {
-    out.reads.clear();
-    out.read_length = stats_.read_length;
-
-    genomics::FastqRecord record;
-    std::string error;
-    while (out.reads.size() < config_.batch_size) {
-        const auto status = stream_.next(record, &error);
-        if (status == genomics::FastxRecordStream::Status::End) break;
-        if (status == genomics::FastxRecordStream::Status::Malformed) {
-            if (config_.on_malformed == OnMalformed::Fail) {
-                throw std::runtime_error("record " +
-                                         std::to_string(
-                                             stream_.records_seen()) +
-                                         ": " + error);
-            }
-            ++stats_.dropped_malformed;
-            stats_.last_error = error;
-            continue;
-        }
-        if (stats_.read_length == 0) {
-            // First well-formed record locks the batch read length.
-            stats_.read_length = record.sequence.size();
-            out.read_length = stats_.read_length;
-        }
-        if (record.sequence.size() != stats_.read_length) {
-            ++stats_.dropped_length;
-            continue;
-        }
-        genomics::Read read;
-        read.id = static_cast<std::uint32_t>(out.reads.size());
-        read.name = record.name;
-        read.quality = record.quality;
-        read.codes.resize(record.sequence.size());
-        for (std::size_t i = 0; i < record.sequence.size(); ++i) {
-            read.codes[i] = util::base_to_code(record.sequence[i]);
-        }
-        out.reads.push_back(std::move(read));
-        ++stats_.records;
-    }
-
-    if (out.reads.empty()) return false;
-    ++stats_.batches;
-    return true;
-}
+      config_(config) {}
 
 void StreamingFastxReader::flush_bucket(std::size_t ceiling) {
     auto it = buckets_.find(ceiling);

@@ -2,26 +2,19 @@
 // Chunked FASTA/FASTQ reading: the input stage of the batch pipeline.
 //
 // StreamingFastxReader turns a (possibly huge) sequence file into a
-// series of fixed-size ReadBatches without ever materializing the whole
-// file: each next_batch() call parses just enough records to fill one
-// batch, so peak reader memory is one batch regardless of file size.
-// Built on genomics::FastxRecordStream, which surfaces malformed
-// records one at a time instead of throwing away the file — the reader
-// applies a per-record error policy on top (drop-and-count, the
-// default, or fail-fast for pipelines that must not silently lose
+// series of length-class batches without ever materializing the whole
+// file: each next_bucket() call parses just enough records to dispatch
+// one bucket, so peak reader memory is bounded by the flush span, not
+// the file size. Built on genomics::FastxRecordStream, which surfaces
+// malformed records one at a time instead of throwing away the file —
+// the reader applies a per-record error policy on top (drop-and-count,
+// the default, or fail-fast for pipelines that must not silently lose
 // input).
 //
-// Batches are fixed-length (the paper's kernels map fixed-n read sets):
-// via next_batch() the length locks to the first well-formed record (or
-// an explicit config value) and records of any other length are dropped
-// and counted, mirroring genomics::to_read_batch's majority rule
-// without needing to see the whole file first.
-//
-// next_bucket() instead serves mixed-length input without dropping
-// anything: records are quantized into length classes (sequence length
-// rounded up to a multiple of config.length_grid) and accumulated into
-// one bucket per class. A bucket dispatches as an independent
-// OrderedBatch when it fills, when the buffered-record span exceeds
+// Records are quantized into length classes (sequence length rounded
+// up to a multiple of config.length_grid) and accumulated into one
+// bucket per class. A bucket dispatches as an independent OrderedBatch
+// when it fills, when the buffered-record span exceeds
 // config.max_deferred_batches batches (the bucket holding the oldest
 // record flushes first, bounding reorder latency), or at end of input.
 // Padding is virtual: batch.read_length is the class ceiling — sizing
@@ -29,7 +22,9 @@
 // while each Read keeps its true-length code vector, so mapping output
 // is byte-identical to splitting the input by length up front. Each
 // read carries a dense global ordinal so a downstream reorder buffer
-// can restore input order across interleaved class streams.
+// can restore input order across interleaved class streams. A non-zero
+// config.read_length collapses the grid to that single class and drops
+// (and counts) every other length.
 
 #include <cstdint>
 #include <deque>
@@ -57,21 +52,19 @@ struct StreamingReaderConfig {
     /// Reads per batch; the last batch of a file may be smaller.
     std::size_t batch_size = 4096;
     OnMalformed on_malformed = OnMalformed::Drop;
-    /// Fixed read length. next_batch(): 0 locks to the first
-    /// well-formed record. next_bucket(): 0 selects length-bucketed
-    /// mode; non-zero degenerates to a single class that drops every
-    /// other length (the fixed path's filter, bucket-shaped).
+    /// Fixed read length: 0 selects length-bucketed mode; non-zero
+    /// degenerates to a single class that drops every other length.
     std::size_t read_length = 0;
     genomics::FastxFormat format = genomics::FastxFormat::Auto;
-    /// Length-class quantization for next_bucket(): a read of length n
-    /// lands in the class whose ceiling is n rounded up to a multiple
-    /// of this grid. 1 = exact-length classes; 0 is treated as 1.
+    /// Length-class quantization: a read of length n lands in the
+    /// class whose ceiling is n rounded up to a multiple of this grid.
+    /// 1 = exact-length classes; 0 is treated as 1.
     std::size_t length_grid = 16;
-    /// Flush-span bound for next_bucket(): once more than
-    /// max_deferred_batches * batch_size records sit in partially
-    /// filled buckets, the bucket holding the oldest record flushes
-    /// (possibly short). Bounds both reader memory and how far the
-    /// output reorder buffer must look back.
+    /// Flush-span bound: once more than max_deferred_batches *
+    /// batch_size records sit in partially filled buckets, the bucket
+    /// holding the oldest record flushes (possibly short). Bounds both
+    /// reader memory and how far the output reorder buffer must look
+    /// back.
     std::size_t max_deferred_batches = 8;
 };
 
@@ -80,10 +73,10 @@ struct StreamingReaderStats {
     std::size_t batches = 0;           ///< non-empty batches yielded
     std::size_t dropped_malformed = 0; ///< structural rejects (Drop mode)
     std::size_t dropped_length = 0;    ///< wrong-length records
-    std::size_t read_length = 0;       ///< locked batch read length
+    std::size_t read_length = 0;       ///< widest class ceiling seen
     std::string last_error;            ///< most recent malformed message
-    /// next_bucket() only: virtual pad bases (class ceiling minus true
-    /// length, summed over accepted reads) and distinct length classes.
+    /// Virtual pad bases (class ceiling minus true length, summed over
+    /// accepted reads) and distinct length classes.
     std::size_t pad_bases = 0;
     std::size_t length_classes = 0;
 
@@ -111,17 +104,11 @@ public:
     explicit StreamingFastxReader(const std::string& path,
                                   StreamingReaderConfig config = {});
 
-    /// Fills `out` with up to batch_size reads (ids dense within the
-    /// batch, exactly like genomics::to_read_batch). Returns false when
-    /// the input is exhausted and `out` came back empty. Throws on a
-    /// malformed record under OnMalformed::Fail.
-    bool next_batch(genomics::ReadBatch& out);
-
-    /// Mixed-length counterpart of next_batch(): yields the next ready
-    /// length-class bucket (see the header comment for dispatch rules).
-    /// Returns false when the input is exhausted and every bucket has
-    /// been flushed. Do not interleave with next_batch() on the same
-    /// reader — the two maintain independent accumulation state.
+    /// Yields the next ready length-class bucket of up to batch_size
+    /// reads (ids dense within the bucket, like genomics::to_read_batch;
+    /// see the header comment for dispatch rules). Returns false when
+    /// the input is exhausted and every bucket has been flushed. Throws
+    /// on a malformed record under OnMalformed::Fail.
     bool next_bucket(OrderedBatch& out);
 
     const StreamingReaderStats& stats() const noexcept { return stats_; }
@@ -141,7 +128,7 @@ private:
     genomics::FastxRecordStream stream_;
     StreamingReaderConfig config_;
     StreamingReaderStats stats_;
-    // next_bucket() accumulation state, keyed by class ceiling.
+    // Accumulation state, keyed by class ceiling.
     std::map<std::size_t, Bucket> buckets_;
     std::deque<OrderedBatch> ready_;
     std::set<std::size_t> classes_seen_;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 namespace repute::serve {
@@ -13,7 +14,9 @@ namespace {
 void write_all(int fd, const void* data, std::size_t bytes) {
     const char* p = static_cast<const char*>(data);
     while (bytes > 0) {
-        const ssize_t n = ::write(fd, p, bytes);
+        // MSG_NOSIGNAL: a peer that hung up is an EPIPE error for this
+        // connection, not a SIGPIPE that kills the whole process.
+        const ssize_t n = ::send(fd, p, bytes, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR) continue;
             throw std::runtime_error(

@@ -10,6 +10,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -63,6 +64,38 @@ void throw_errno(const std::string& what) {
                              std::strerror(errno));
 }
 
+/// Frees `path` for bind() without taking over anything alive: a
+/// missing path is fine, a non-socket file or a socket with a listener
+/// behind it is refused, and only a stale socket (connect() refused: its
+/// daemon is gone) is unlinked.
+void claim_socket_path(const std::string& path, const sockaddr_un& addr) {
+    struct stat st {};
+    if (::lstat(path.c_str(), &st) != 0) {
+        if (errno == ENOENT) return;
+        throw_errno("stat " + path);
+    }
+    if (!S_ISSOCK(st.st_mode)) {
+        throw std::runtime_error("serve: " + path +
+                                 " exists and is not a socket; refusing "
+                                 "to replace it");
+    }
+    const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (probe < 0) throw_errno("socket");
+    const int rc = ::connect(probe, reinterpret_cast<const sockaddr*>(&addr),
+                             sizeof(addr));
+    const int saved = errno;
+    ::close(probe);
+    if (rc == 0) {
+        throw std::runtime_error("serve: daemon already listening on " +
+                                 path);
+    }
+    if (saved != ECONNREFUSED) {
+        errno = saved;
+        throw_errno("probe " + path);
+    }
+    ::unlink(path.c_str());
+}
+
 } // namespace
 
 Server::Server(pipeline::MappingSession& session, ServerConfig config)
@@ -81,17 +114,22 @@ Server::Server(pipeline::MappingSession& session, ServerConfig config)
     std::strncpy(addr.sun_path, config_.socket_path.c_str(),
                  sizeof(addr.sun_path) - 1);
 
+    claim_socket_path(config_.socket_path, addr);
     listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listen_fd_ < 0) throw_errno("socket");
-    ::unlink(config_.socket_path.c_str());
+    struct stat bound {};
     if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
+               sizeof(addr)) != 0 ||
+        ::lstat(config_.socket_path.c_str(), &bound) != 0) {
         const int saved = errno;
         ::close(listen_fd_);
         listen_fd_ = -1;
         errno = saved;
         throw_errno("bind " + config_.socket_path);
     }
+    // From here on the path is ours; remember which inode it is.
+    socket_dev_ = bound.st_dev;
+    socket_ino_ = bound.st_ino;
     if (::listen(listen_fd_, 64) != 0) throw_errno("listen");
 
     int pipe_fds[2];
@@ -104,7 +142,13 @@ Server::~Server() {
     if (listen_fd_ >= 0) ::close(listen_fd_);
     if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
     if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
-    ::unlink(config_.socket_path.c_str());
+    // Unlink only our own socket: if a successor daemon has since
+    // reclaimed the path, it names a different inode and stays.
+    struct stat st {};
+    if (::lstat(config_.socket_path.c_str(), &st) == 0 &&
+        st.st_dev == socket_dev_ && st.st_ino == socket_ino_) {
+        ::unlink(config_.socket_path.c_str());
+    }
 }
 
 void Server::stop() noexcept {

@@ -28,6 +28,8 @@
 #include <memory>
 #include <string>
 
+#include <sys/types.h>
+
 #include "pipeline/mapping_api.hpp"
 
 namespace repute::serve {
@@ -42,10 +44,13 @@ struct ServerConfig {
 
 class Server {
 public:
-    /// Binds and listens on `config.socket_path` (an existing socket
-    /// file is unlinked first). The session is shared by every handler
-    /// and must outlive the server. Throws std::runtime_error on bind
-    /// failure.
+    /// Binds and listens on `config.socket_path`. A stale socket file
+    /// (no listener behind it) is reclaimed; a live daemon on the path
+    /// throws std::runtime_error("serve: daemon already listening on
+    /// PATH"), and so does a non-socket file there or a bind failure.
+    /// The session is shared by every handler and must outlive the
+    /// server. The destructor unlinks the path only while it still
+    /// names the socket this server bound.
     Server(pipeline::MappingSession& session, ServerConfig config);
     ~Server();
 
@@ -69,6 +74,8 @@ private:
     pipeline::MappingSession* session_;
     ServerConfig config_;
     int listen_fd_ = -1;
+    dev_t socket_dev_ = 0; ///< identity of the bound socket file
+    ino_t socket_ino_ = 0;
     int wake_read_fd_ = -1;
     int wake_write_fd_ = -1;
     std::atomic<std::size_t> handled_{0};

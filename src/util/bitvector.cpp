@@ -1,6 +1,5 @@
 #include "util/bitvector.hpp"
 
-#include "util/serialize.hpp"
 
 #include <bit>
 #include <stdexcept>
@@ -106,34 +105,6 @@ std::size_t BitVector::select1(std::size_t k) const noexcept {
     for (std::size_t j = 0; j < remaining; ++j) word &= word - 1;
     return w * 64 +
            static_cast<std::size_t>(std::countr_zero(word));
-}
-
-} // namespace repute::util
-
-namespace repute::util {
-
-// --- serialization ---------------------------------------------------
-
-void BitVector::save(std::ostream& out) const {
-    write_magic(out, 0x42495456u); // "BITV"
-    write_pod<std::uint64_t>(out, size_);
-    write_pod<std::uint64_t>(out, words_.size());
-    out.write(reinterpret_cast<const char*>(words_.data()),
-              static_cast<std::streamsize>(words_.size() *
-                                           sizeof(std::uint64_t)));
-}
-
-BitVector BitVector::load(std::istream& in) {
-    check_magic(in, 0x42495456u, "BitVector");
-    BitVector bv;
-    bv.size_ = read_pod<std::uint64_t>(in);
-    bv.owned_words_ = read_vector<std::uint64_t>(in);
-    bv.words_ = bv.owned_words_;
-    if (bv.words_.size() != (bv.size_ + 63) / 64) {
-        throw std::runtime_error("BitVector: corrupt word count");
-    }
-    bv.build_rank();
-    return bv;
 }
 
 } // namespace repute::util

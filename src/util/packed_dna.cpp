@@ -1,8 +1,7 @@
 #include "util/packed_dna.hpp"
 
-#include "util/serialize.hpp"
-
 #include <array>
+#include <stdexcept>
 
 namespace repute::util {
 
@@ -123,33 +122,6 @@ PackedDna PackedDna::reverse_complement() const {
         rc.push_back(complement_code(code_at(i - 1)));
     }
     return rc;
-}
-
-} // namespace repute::util
-
-namespace repute::util {
-
-// --- serialization ---------------------------------------------------
-
-void PackedDna::save(std::ostream& out) const {
-    write_magic(out, 0x50444E41u); // "PDNA"
-    write_pod<std::uint64_t>(out, size_);
-    write_pod<std::uint64_t>(out, words_.size());
-    out.write(reinterpret_cast<const char*>(words_.data()),
-              static_cast<std::streamsize>(words_.size() *
-                                           sizeof(std::uint64_t)));
-}
-
-PackedDna PackedDna::load(std::istream& in) {
-    check_magic(in, 0x50444E41u, "PackedDna");
-    PackedDna dna;
-    dna.size_ = read_pod<std::uint64_t>(in);
-    dna.owned_words_ = read_vector<std::uint64_t>(in);
-    dna.words_ = dna.owned_words_;
-    if (dna.words_.size() != (dna.size_ + 31) / 32) {
-        throw std::runtime_error("PackedDna: corrupt word count");
-    }
-    return dna;
 }
 
 } // namespace repute::util

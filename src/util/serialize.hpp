@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
-#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -38,14 +37,6 @@ void write_vector(std::ostream& out, const std::vector<T>& values) {
 
 template <typename T>
     requires std::is_trivially_copyable_v<T>
-void write_span(std::ostream& out, std::span<const T> values) {
-    write_pod<std::uint64_t>(out, values.size());
-    out.write(reinterpret_cast<const char*>(values.data()),
-              static_cast<std::streamsize>(values.size() * sizeof(T)));
-}
-
-template <typename T>
-    requires std::is_trivially_copyable_v<T>
 std::vector<T> read_vector(std::istream& in) {
     const auto count = read_pod<std::uint64_t>(in);
     std::vector<T> values(count);
@@ -69,18 +60,6 @@ inline std::uint64_t fnv1a64(const void* data, std::size_t bytes,
         hash *= 0x100000001B3ULL;
     }
     return hash;
-}
-
-/// Writes/checks a 4-byte magic tag; throws on mismatch.
-inline void write_magic(std::ostream& out, std::uint32_t magic) {
-    write_pod(out, magic);
-}
-inline void check_magic(std::istream& in, std::uint32_t magic,
-                        const char* what) {
-    if (read_pod<std::uint32_t>(in) != magic) {
-        throw std::runtime_error(std::string("serialize: bad magic for ") +
-                                 what);
-    }
 }
 
 } // namespace repute::util

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "core/cigar.hpp"
@@ -10,9 +11,11 @@
 #include "core/repute_mapper.hpp"
 #include "filter/memopt_seeder.hpp"
 #include "genomics/genome_sim.hpp"
+#include "genomics/multi_reference.hpp"
 #include "genomics/read_sim.hpp"
 #include "index/fm_index.hpp"
 #include "ocl/platform.hpp"
+#include "pipeline/sam_emitter.hpp"
 
 namespace {
 
@@ -20,7 +23,6 @@ using repute::core::annotate_mapping;
 using repute::core::KernelConfig;
 using repute::core::ReadMapping;
 using repute::core::StageTotals;
-using repute::core::to_sam_with_cigar;
 using repute::genomics::GenomeSimConfig;
 using repute::genomics::ReadSimConfig;
 using repute::genomics::Reference;
@@ -141,19 +143,36 @@ TEST_F(CigarTest, EndToEndSamWithCigar) {
                                             {{&dev, 1.0}});
     const auto result = mapper->map(sim_->batch, 4);
 
-    std::size_t dropped = 0;
-    const auto sam = to_sam_with_cigar(sim_->batch, result, *reference_,
-                                       4, &dropped);
-    EXPECT_EQ(dropped, 0u) << "kernel mappings must all re-align";
+    const repute::genomics::MultiReference multi(*reference_);
+    std::ostringstream sam;
+    repute::pipeline::SamEmitter emitter(sam, multi, {true, 4});
+    emitter.emit(sim_->batch, result);
+    EXPECT_EQ(emitter.stats().dropped_cigar, 0u)
+        << "kernel mappings must all re-align";
 
+    // Columns: QNAME FLAG RNAME POS MAPQ CIGAR RNEXT PNEXT TLEN SEQ QUAL
+    // NM:i:<edits>.
     std::size_t mapped_records = 0;
-    for (const auto& rec : sam) {
-        if (rec.unmapped()) continue;
+    std::istringstream lines(sam.str());
+    std::string line;
+    while (std::getline(lines, line)) {
+        std::istringstream fields(line);
+        std::string qname, rname, cigar, rnext, seq, qual, nm;
+        unsigned flag = 0, mapq = 0;
+        std::uint64_t pos = 0, pnext = 0;
+        std::int64_t tlen = 0;
+        fields >> qname >> flag >> rname >> pos >> mapq >> cigar >>
+            rnext >> pnext >> tlen >> seq >> qual >> nm;
+        ASSERT_FALSE(fields.fail()) << line;
+        if ((flag & repute::genomics::SamRecord::kFlagUnmapped) != 0) {
+            continue;
+        }
         ++mapped_records;
         // Every CIGAR consumes exactly the read length.
-        EXPECT_EQ(cigar_read_length(rec.cigar), 100u) << rec.cigar;
-        EXPECT_LE(rec.edit_distance, 4u);
-        EXPECT_GE(rec.pos, 1u);
+        EXPECT_EQ(cigar_read_length(cigar), 100u) << cigar;
+        ASSERT_EQ(nm.rfind("NM:i:", 0), 0u) << line;
+        EXPECT_LE(std::stoul(nm.substr(5)), 4u);
+        EXPECT_GE(pos, 1u);
     }
     EXPECT_GT(mapped_records, sim_->batch.size() / 2);
 }

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "core/accuracy.hpp"
 #include "core/kernels.hpp"
@@ -14,9 +17,11 @@
 #include "filter/memopt_seeder.hpp"
 #include "filter/uniform_seeder.hpp"
 #include "genomics/genome_sim.hpp"
+#include "genomics/multi_reference.hpp"
 #include "genomics/read_sim.hpp"
 #include "index/fm_index.hpp"
 #include "ocl/platform.hpp"
+#include "pipeline/sam_emitter.hpp"
 
 namespace {
 
@@ -457,20 +462,52 @@ TEST_F(CoreTest, SamExportHasRecordPerMappingAndUnmappedReads) {
     auto mapper =
         make_repute(*reference_, *fm_, {{&dev, 1.0}}, config);
     const auto result = mapper->map(sim_->batch, 3);
-    const auto sam =
-        repute::core::to_sam(sim_->batch, result, reference_->name());
+
+    // CIGAR off: one record per reported mapping that lies inside the
+    // reference, and a flag-0x4 placeholder for a read with none.
+    const repute::genomics::MultiReference multi(*reference_);
+    std::ostringstream sam;
+    repute::pipeline::SamEmitter emitter(sam, multi, {false, 3});
+    emitter.emit(sim_->batch, result);
 
     std::size_t expected = 0;
-    for (const auto& m : result.per_read) {
-        expected += m.empty() ? 1 : m.size();
+    for (std::size_t i = 0; i < sim_->batch.size(); ++i) {
+        std::size_t kept = 0;
+        for (const auto& m : result.per_read[i]) {
+            kept += multi.within_one_sequence(
+                        m.position, static_cast<std::uint32_t>(
+                                        sim_->batch.reads[i].length()))
+                        ? 1
+                        : 0;
+        }
+        expected += std::max<std::size_t>(kept, 1);
     }
-    EXPECT_EQ(sam.size(), expected);
-    for (const auto& rec : sam) {
-        if (!rec.unmapped()) {
-            EXPECT_GE(rec.pos, 1u);
-            EXPECT_LE(rec.edit_distance, 3u);
+    EXPECT_EQ(emitter.stats().records, expected);
+    EXPECT_EQ(emitter.stats().reads, sim_->batch.size());
+
+    // Per read: the first record is primary, the rest secondary; mapped
+    // records carry a 1-based position and NM within the budget.
+    std::istringstream lines(sam.str());
+    std::string line, last_qname;
+    std::size_t lines_seen = 0;
+    while (std::getline(lines, line)) {
+        ++lines_seen;
+        std::istringstream fields(line);
+        std::string qname, rname;
+        unsigned flag = 0;
+        std::uint64_t pos = 0;
+        fields >> qname >> flag >> rname >> pos;
+        const bool secondary =
+            (flag & repute::genomics::SamRecord::kFlagSecondary) != 0;
+        EXPECT_EQ(secondary, qname == last_qname) << line;
+        last_qname = qname;
+        if ((flag & repute::genomics::SamRecord::kFlagUnmapped) == 0) {
+            EXPECT_GE(pos, 1u);
+            const auto nm = line.substr(line.rfind("NM:i:") + 5);
+            EXPECT_LE(std::stoul(nm), 3u) << line;
         }
     }
+    EXPECT_EQ(lines_seen, expected);
 }
 
 } // namespace

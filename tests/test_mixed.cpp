@@ -15,11 +15,15 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
+#include "core/repute_mapper.hpp"
 #include "genomics/fastx.hpp"
 #include "genomics/genome_sim.hpp"
 #include "genomics/multi_reference.hpp"
 #include "genomics/pair_sim.hpp"
 #include "genomics/read_sim.hpp"
+#include "ocl/platform.hpp"
 #include "pipeline/mapping_api.hpp"
 #include "pipeline/sam_emitter.hpp"
 #include "pipeline/streaming_fastx.hpp"
@@ -27,6 +31,8 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "util/gzip_stream.hpp"
+
+#include "one_batch_oracle.hpp"
 
 namespace repute {
 namespace {
@@ -256,15 +262,21 @@ protected:
         return sam.str();
     }
 
-    std::string map_monolithic(const genomics::ReadBatch& batch) {
-        std::istringstream reads(fastq_text(batch));
-        pipeline::MapRequest request;
-        request.reads = &reads;
-        request.delta = 3;
-        request.monolithic = true;
-        std::ostringstream sam;
-        session_->map(request, sam);
-        return sam.str();
+    /// The one-batch oracle on the session's own index: a fresh mapper
+    /// configured like the session's pool maps the uniform class in a
+    /// single call.
+    std::string map_one_batch(const genomics::ReadBatch& batch) {
+        auto platform = ocl::Platform::system1();
+        const auto& sconfig = session_->config();
+        core::HeterogeneousMapperConfig mconfig;
+        mconfig.kernel.s_min = sconfig.s_min;
+        mconfig.kernel.max_locations_per_read = sconfig.max_locations;
+        mconfig.kernel.simd_verification = sconfig.simd_verification;
+        auto mapper = core::make_repute(
+            session_->multi().concatenated(), session_->fm(),
+            {{&platform.device(sconfig.devices.front()), 1.0}}, mconfig);
+        return testing_oracle::one_batch_sam(fastq_text(batch), *mapper,
+                                             session_->multi(), {true, 3});
     }
 
     static void split_sam(const std::string& sam, std::string& header,
@@ -289,14 +301,14 @@ TEST_F(MixedOracleTest, BucketedStreamingMatchesPerLengthSplitOracle) {
     // Small batches force many interleaved buckets plus span flushes.
     const std::string streamed = map_streaming(mixed_fastq_, 16);
 
-    // Oracle: map each uniform class monolithically, then re-merge the
+    // Oracle: map each uniform class as one batch, then re-merge the
     // records in global input order (the ordinal is in the qname).
     std::string oracle_header;
     std::map<std::string, std::string> by_qname;
     for (const auto& batch : classes_) {
         std::string header;
         std::vector<std::string> records;
-        split_sam(map_monolithic(batch), header, records);
+        split_sam(map_one_batch(batch), header, records);
         if (oracle_header.empty()) oracle_header = header;
         EXPECT_EQ(header, oracle_header);
         for (const auto& line : records) {
@@ -556,8 +568,8 @@ TEST(ServeMixed, SocketAndOneShotAgreeOnHeterogeneousLengths) {
         genomics::MultiReference(std::move(genome)), sconfig);
 
     serve::ServerConfig server_config;
-    server_config.socket_path =
-        testing::TempDir() + "repute_test_mixed.sock";
+    server_config.socket_path = testing::TempDir() + "repute_test_mixed." +
+                                std::to_string(::getpid()) + ".sock";
     server_config.handlers = 2;
     serve::Server server(*session, server_config);
     std::thread server_thread([&] { server.run(); });

@@ -74,6 +74,25 @@ TEST(Metrics, EmptyHistogramSnapshotIsZero) {
     EXPECT_DOUBLE_EQ(snap.mean(), 0.0);
 }
 
+TEST(Metrics, HistogramReportsExactZerosAsZero) {
+    // Half the observations are exact zeros (idle SIMD lanes, say): a
+    // quantile landing on them must read 0, not the smallest log
+    // bucket's upper bound (2^-31).
+    repute::obs::Histogram h;
+    for (int i = 0; i < 50; ++i) h.observe(0.0);
+    for (int i = 0; i < 50; ++i) h.observe(0.75);
+    const auto snap = h.snapshot();
+    EXPECT_EQ(snap.count, 100u);
+    EXPECT_EQ(snap.zeros, 50u);
+    EXPECT_DOUBLE_EQ(snap.quantile(0.0), 0.0);
+    EXPECT_DOUBLE_EQ(snap.quantile(0.25), 0.0);
+    EXPECT_DOUBLE_EQ(snap.quantile(0.5), 0.0); // rank 49: the last zero
+    // Past the zeros the log buckets answer as before (0.75 sits in
+    // [0.5, 1), clamped to the observed max).
+    EXPECT_DOUBLE_EQ(snap.quantile(0.6), 0.75);
+    EXPECT_DOUBLE_EQ(snap.quantile(0.99), 0.75);
+}
+
 // ------------------------------------------------- session installation
 
 TEST(TraceSessionTest, NothingInstalledByDefault) {

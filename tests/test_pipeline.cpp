@@ -1,14 +1,16 @@
 // Streaming batch pipeline: chunked FASTA/FASTQ parsing with per-record
 // error policy, bounded/ordered pipeline execution, and the headline
-// property — streaming SAM output is byte-identical to the monolithic
-// parse-then-map-then-write path, even on a skewed device fleet that
-// finishes batches out of order.
+// property — bucketed streaming SAM output is byte-identical to the
+// one-batch parse-then-map-then-write oracle, even on a skewed device
+// fleet that finishes batches out of order.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <span>
 #include <sstream>
-#include <thread>
+#include <vector>
 
 #include "core/paired.hpp"
 #include "core/repute_mapper.hpp"
@@ -23,6 +25,8 @@
 #include "pipeline/mapping_pipeline.hpp"
 #include "pipeline/sam_emitter.hpp"
 #include "pipeline/streaming_fastx.hpp"
+
+#include "one_batch_oracle.hpp"
 
 namespace repute {
 namespace {
@@ -102,14 +106,23 @@ TEST(FastxRecordStream, TruncatedFinalRecordIsMalformedNotFatal) {
 }
 
 // ---------------------------------------------------------------------
-// StreamingFastxReader
+// StreamingFastxReader (next_bucket on single-class input; the
+// mixed-length dispatch rules are pinned in test_mixed.cpp)
+
+std::vector<pipeline::OrderedBatch> drain(
+    pipeline::StreamingFastxReader& reader) {
+    std::vector<pipeline::OrderedBatch> out;
+    pipeline::OrderedBatch unit;
+    while (reader.next_bucket(unit)) out.push_back(unit);
+    return out;
+}
 
 TEST(StreamingFastxReader, EmptyFileYieldsNoBatches) {
     std::istringstream in("");
     pipeline::StreamingFastxReader reader(in);
-    genomics::ReadBatch batch;
-    EXPECT_FALSE(reader.next_batch(batch));
-    EXPECT_TRUE(batch.empty());
+    pipeline::OrderedBatch unit;
+    EXPECT_FALSE(reader.next_bucket(unit));
+    EXPECT_TRUE(unit.batch.empty());
     EXPECT_EQ(reader.stats().records, 0u);
     EXPECT_EQ(reader.stats().batches, 0u);
 }
@@ -118,14 +131,16 @@ TEST(StreamingFastxReader, BatchSizeLargerThanFile) {
     std::istringstream in("@a\nACGT\n+\nIIII\n@b\nTTTT\n+\nIIII\n");
     pipeline::StreamingReaderConfig config;
     config.batch_size = 1000;
+    config.length_grid = 1; // exact-length class: ceiling == 4
     pipeline::StreamingFastxReader reader(in, config);
-    genomics::ReadBatch batch;
-    ASSERT_TRUE(reader.next_batch(batch));
-    EXPECT_EQ(batch.size(), 2u);
-    EXPECT_EQ(batch.read_length, 4u);
-    EXPECT_EQ(batch.reads[0].id, 0u);
-    EXPECT_EQ(batch.reads[1].id, 1u);
-    EXPECT_FALSE(reader.next_batch(batch));
+    pipeline::OrderedBatch unit;
+    ASSERT_TRUE(reader.next_bucket(unit));
+    EXPECT_EQ(unit.batch.size(), 2u);
+    EXPECT_EQ(unit.batch.read_length, 4u);
+    EXPECT_EQ(unit.batch.reads[0].id, 0u);
+    EXPECT_EQ(unit.batch.reads[1].id, 1u);
+    EXPECT_EQ(unit.ordinals, (std::vector<std::uint64_t>{0, 1}));
+    EXPECT_FALSE(reader.next_bucket(unit));
 }
 
 TEST(StreamingFastxReader, ChunksIntoFixedBatches) {
@@ -137,9 +152,15 @@ TEST(StreamingFastxReader, ChunksIntoFixedBatches) {
     pipeline::StreamingReaderConfig config;
     config.batch_size = 4;
     pipeline::StreamingFastxReader reader(in, config);
-    genomics::ReadBatch batch;
     std::vector<std::size_t> sizes;
-    while (reader.next_batch(batch)) sizes.push_back(batch.size());
+    std::uint64_t next_ordinal = 0;
+    for (const auto& unit : drain(reader)) {
+        sizes.push_back(unit.batch.size());
+        // One length class: buckets dispatch in input order.
+        for (const auto ordinal : unit.ordinals) {
+            EXPECT_EQ(ordinal, next_ordinal++);
+        }
+    }
     EXPECT_EQ(sizes, (std::vector<std::size_t>{4, 4, 2}));
     EXPECT_EQ(reader.stats().batches, 3u);
     EXPECT_EQ(reader.stats().records, 10u);
@@ -155,37 +176,29 @@ TEST(StreamingFastxReader, MalformedMidBatchDroppedAndCounted) {
                              "@r3\nTTTT\n+\nIIII\n";
     std::istringstream in(text);
     pipeline::StreamingFastxReader reader(in);
-    genomics::ReadBatch batch;
-    ASSERT_TRUE(reader.next_batch(batch));
+    const auto buckets = drain(reader);
     // r1's missing quality line swallows r2's header, so the parser
     // reports malformed once per orphaned line until it resyncs at the
     // next '@' — what matters is that it resyncs and nothing is fatal.
     EXPECT_EQ(reader.stats().dropped_malformed, 5u);
     EXPECT_FALSE(reader.stats().last_error.empty());
     // r0 and r3 survive; the r1/r2 tangle costs both records.
-    ASSERT_EQ(batch.size(), 2u);
-    EXPECT_EQ(batch.reads[0].name, "r0");
-    EXPECT_EQ(batch.reads[1].name, "r3");
+    ASSERT_EQ(buckets.size(), 1u);
+    ASSERT_EQ(buckets[0].batch.size(), 2u);
+    EXPECT_EQ(buckets[0].batch.reads[0].name, "r0");
+    EXPECT_EQ(buckets[0].batch.reads[1].name, "r3");
+    EXPECT_EQ(buckets[0].ordinals, (std::vector<std::uint64_t>{0, 1}));
 }
 
 TEST(StreamingFastxReader, FailFastPolicyThrows) {
+    // The very first record is malformed: the throw comes before any
+    // bucket exists.
     std::istringstream in("@r0\nAAAA\n+\nII\n");
     pipeline::StreamingReaderConfig config;
     config.on_malformed = pipeline::OnMalformed::Fail;
     pipeline::StreamingFastxReader reader(in, config);
-    genomics::ReadBatch batch;
-    EXPECT_THROW(reader.next_batch(batch), std::runtime_error);
-}
-
-TEST(StreamingFastxReader, LocksReadLengthToFirstRecord) {
-    std::istringstream in("@a\nACGTAC\n+\nIIIIII\n@b\nACG\n+\nIII\n"
-                          "@c\nGGGGGG\n+\nIIIIII\n");
-    pipeline::StreamingFastxReader reader(in);
-    genomics::ReadBatch batch;
-    ASSERT_TRUE(reader.next_batch(batch));
-    EXPECT_EQ(batch.read_length, 6u);
-    EXPECT_EQ(batch.size(), 2u);
-    EXPECT_EQ(reader.stats().dropped_length, 1u);
+    pipeline::OrderedBatch unit;
+    EXPECT_THROW(reader.next_bucket(unit), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------
@@ -196,19 +209,34 @@ TEST(BatchPipeline, EmitsInInputOrderDespiteSkewedWorkers) {
     config.queue_depth = 2;
     config.map_workers = 2;
     pipeline::BatchPipeline<int, int> engine(config);
+    constexpr int kUnits = 9;
     int next = 0;
     std::vector<std::size_t> seqs;
     std::vector<int> results;
+
+    // Even unit k is held until unit k+1 has finished mapping, so the
+    // completion order is scrambled by construction. The workers share
+    // one FIFO input queue: while one worker holds k, the other pops
+    // k+1, and the writer drains finished units into its reorder buffer
+    // without ever blocking a worker, so the hold always resolves.
+    std::mutex mutex;
+    std::condition_variable done_cv;
+    std::vector<bool> done(kUnits, false);
+    std::vector<int> completion;
     const auto stats = engine.run(
         [&](int& unit) {
-            if (next >= 9) return false;
+            if (next >= kUnits) return false;
             unit = next++;
             return true;
         },
-        [](const int& unit, std::size_t) {
-            // Even units are slow: completion order is scrambled.
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                unit % 2 == 0 ? 12 : 1));
+        [&](const int& unit, std::size_t) {
+            std::unique_lock lock(mutex);
+            if (unit % 2 == 0 && unit + 1 < kUnits) {
+                done_cv.wait(lock, [&] { return done[unit + 1]; });
+            }
+            done[unit] = true;
+            completion.push_back(unit);
+            done_cv.notify_all();
             return unit * 10;
         },
         [&](std::size_t seq, const int& unit, const int& result) {
@@ -216,14 +244,18 @@ TEST(BatchPipeline, EmitsInInputOrderDespiteSkewedWorkers) {
             EXPECT_EQ(result, unit * 10);
             results.push_back(result);
         });
-    ASSERT_EQ(seqs.size(), 9u);
+    ASSERT_EQ(completion.size(), static_cast<std::size_t>(kUnits));
+    EXPECT_EQ(completion[0], 1); // out of order by construction
+    EXPECT_EQ(completion[1], 0);
+    ASSERT_EQ(seqs.size(), static_cast<std::size_t>(kUnits));
     for (std::size_t i = 0; i < seqs.size(); ++i) {
         EXPECT_EQ(seqs[i], i);
         EXPECT_EQ(results[i], static_cast<int>(i) * 10);
     }
-    EXPECT_EQ(stats.units, 9u);
-    // Backpressure bound: queues + workers + reorder buffer, not input
-    // size.
+    EXPECT_EQ(stats.units, static_cast<std::size_t>(kUnits));
+    // Backpressure bound: the admission window (both queues, every
+    // worker, the reader's unit and the one being emitted; parked units
+    // count against it too), not input size.
     EXPECT_LE(stats.max_in_flight,
               2 * config.queue_depth + config.map_workers + 2);
 }
@@ -305,59 +337,69 @@ ocl::DeviceProfile skew_profile(const char* name, std::uint32_t units,
     return p;
 }
 
+/// Maps `reader` through `mappers` on the bucketed pipeline and
+/// renders input-ordered SAM (header included) via a reorder writer —
+/// the shape MappingSession::map uses.
+std::string bucketed_sam(pipeline::StreamingFastxReader& reader,
+                         std::span<core::Mapper* const> mappers,
+                         const genomics::MultiReference& multi,
+                         pipeline::SamEmitterConfig emit_config,
+                         pipeline::PipelineConfig config,
+                         pipeline::PipelineStats* stats_out = nullptr) {
+    std::ostringstream sam;
+    pipeline::SamEmitter emitter(sam, multi, emit_config);
+    emitter.write_header();
+    pipeline::RecordReorderWriter writer(sam);
+    std::size_t expected_seq = 0;
+    const auto stats = pipeline::run_bucketed_pipeline(
+        reader, mappers, emit_config.delta,
+        [&](std::size_t seq, const pipeline::OrderedBatch& unit,
+            const core::MapResult& result) {
+            EXPECT_EQ(seq, expected_seq++);
+            for (std::size_t i = 0; i < unit.batch.size(); ++i) {
+                writer.add(unit.ordinals[i],
+                           emitter.render_read(unit.batch, i, result));
+            }
+        },
+        config);
+    writer.finish();
+    if (stats_out != nullptr) *stats_out = stats;
+    return sam.str();
+}
+
 TEST(MappingPipeline, StreamingSamIsByteIdenticalToMonolithic) {
     const MappingFixture fix;
     const std::uint32_t delta = 3;
     const std::string fastq = fastq_text(fix.sim.batch);
 
-    // Monolithic reference path: whole file -> one map -> one emit.
-    std::ostringstream mono_sam;
-    {
-        std::istringstream in(fastq);
-        const auto batch =
-            genomics::to_read_batch(genomics::read_fastq(in));
-        ocl::Device cpu(skew_profile("mono-cpu", 8, 1e9));
-        pipeline::SamEmitter emitter(mono_sam, fix.multi, {true, delta});
-        emitter.write_header();
-        emitter.emit(batch, fix.mapper(cpu)->map(batch, delta));
-    }
+    // One-batch reference: whole file -> one map -> one emit.
+    ocl::Device cpu(skew_profile("mono-cpu", 8, 1e9));
+    const std::string mono_sam = testing_oracle::one_batch_sam(
+        fastq, *fix.mapper(cpu), fix.multi, {true, delta});
 
     // Streaming path over a deliberately skewed two-device fleet (the
     // fig3 skew setup): the fast worker races ahead, the ordering
     // buffer must still emit in input order.
-    std::ostringstream stream_sam;
-    {
-        std::istringstream in(fastq);
-        pipeline::StreamingReaderConfig reader_config;
-        reader_config.batch_size = 48;
-        pipeline::StreamingFastxReader reader(in, reader_config);
+    std::istringstream in(fastq);
+    pipeline::StreamingReaderConfig reader_config;
+    reader_config.batch_size = 48;
+    pipeline::StreamingFastxReader reader(in, reader_config);
 
-        ocl::Device fast(skew_profile("fast-gpu", 16, 6e8));
-        ocl::Device slow(skew_profile("slow-cpu", 2, 6e7));
-        auto mapper_fast = fix.mapper(fast);
-        auto mapper_slow = fix.mapper(slow);
-        std::vector<core::Mapper*> mappers = {mapper_fast.get(),
-                                              mapper_slow.get()};
+    ocl::Device fast(skew_profile("fast-gpu", 16, 6e8));
+    ocl::Device slow(skew_profile("slow-cpu", 2, 6e7));
+    auto mapper_fast = fix.mapper(fast);
+    auto mapper_slow = fix.mapper(slow);
+    std::vector<core::Mapper*> mappers = {mapper_fast.get(),
+                                          mapper_slow.get()};
+    pipeline::PipelineConfig config;
+    config.queue_depth = 3;
+    pipeline::PipelineStats stats;
+    const std::string stream_sam = bucketed_sam(
+        reader, mappers, fix.multi, {true, delta}, config, &stats);
+    EXPECT_EQ(stats.units, reader.stats().batches);
+    EXPECT_GT(stats.units, 4u);
 
-        pipeline::SamEmitter emitter(stream_sam, fix.multi,
-                                     {true, delta});
-        emitter.write_header();
-        pipeline::PipelineConfig config;
-        config.queue_depth = 3;
-        std::size_t expected_seq = 0;
-        const auto stats = pipeline::run_mapping_pipeline(
-            reader, mappers, delta,
-            [&](std::size_t seq, const genomics::ReadBatch& batch,
-                const core::MapResult& result) {
-                EXPECT_EQ(seq, expected_seq++);
-                emitter.emit(batch, result);
-            },
-            config);
-        EXPECT_EQ(stats.units, reader.stats().batches);
-        EXPECT_GT(stats.units, 4u);
-    }
-
-    EXPECT_EQ(mono_sam.str(), stream_sam.str());
+    EXPECT_EQ(mono_sam, stream_sam);
 }
 
 TEST(MappingPipeline, PairedStreamingMatchesMonolithic) {
@@ -377,6 +419,8 @@ TEST(MappingPipeline, PairedStreamingMatchesMonolithic) {
     pair_config.min_insert = 200;
     pair_config.max_insert = 500;
 
+    // One-batch reference: both mate files as one batch each, one
+    // map_pairs call, every pair rendered in order.
     std::ostringstream mono_sam;
     {
         ocl::Device cpu(skew_profile("mono-cpu", 8, 1e9));
@@ -385,9 +429,11 @@ TEST(MappingPipeline, PairedStreamingMatchesMonolithic) {
                                   pair_config);
         pipeline::SamEmitter emitter(mono_sam, fix.multi, {true, delta});
         emitter.write_header();
-        emitter.emit_paired(
-            pairs.first, pairs.second,
-            paired.map_pairs(pairs.first, pairs.second, delta));
+        for (const auto& pair : emitter.render_paired(
+                 pairs.first, pairs.second,
+                 paired.map_pairs(pairs.first, pairs.second, delta))) {
+            mono_sam << pair;
+        }
     }
 
     std::ostringstream stream_sam;
@@ -395,8 +441,7 @@ TEST(MappingPipeline, PairedStreamingMatchesMonolithic) {
         std::istringstream in1(fastq1), in2(fastq2);
         pipeline::StreamingReaderConfig reader_config;
         reader_config.batch_size = 32;
-        pipeline::StreamingFastxReader r1(in1, reader_config);
-        pipeline::StreamingFastxReader r2(in2, reader_config);
+        pipeline::PairedStreamingReader reader(in1, in2, reader_config);
 
         ocl::Device fast(skew_profile("fast-gpu", 16, 6e8));
         ocl::Device slow(skew_profile("slow-cpu", 2, 6e7));
@@ -414,13 +459,20 @@ TEST(MappingPipeline, PairedStreamingMatchesMonolithic) {
         pipeline::SamEmitter emitter(stream_sam, fix.multi,
                                      {true, delta});
         emitter.write_header();
-        pipeline::run_paired_pipeline(
-            r1, r2, mappers, delta,
-            [&](std::size_t, const pipeline::PairedUnit& unit,
+        pipeline::RecordReorderWriter writer(stream_sam);
+        const auto stats = pipeline::run_bucketed_paired_pipeline(
+            reader, mappers, delta,
+            [&](std::size_t, const pipeline::OrderedPairBatch& unit,
                 const core::PairedResult& result) {
-                emitter.emit_paired(unit.first, unit.second, result);
+                auto rendered =
+                    emitter.render_paired(unit.first, unit.second, result);
+                for (std::size_t i = 0; i < rendered.size(); ++i) {
+                    writer.add(unit.ordinals[i], std::move(rendered[i]));
+                }
             },
             {});
+        writer.finish();
+        EXPECT_GT(stats.units, 1u);
     }
 
     EXPECT_EQ(mono_sam.str(), stream_sam.str());
@@ -435,14 +487,14 @@ TEST(MappingPipeline, PairedDesyncThrows) {
                            std::string(100, 'I') + "\n");
     std::istringstream in2("@a\n" + std::string(100, 'A') + "\n+\n" +
                            std::string(100, 'I') + "\n");
-    pipeline::StreamingFastxReader r1(in1), r2(in2);
+    pipeline::PairedStreamingReader reader(in1, in2);
     ocl::Device cpu(skew_profile("cpu", 8, 1e9));
     auto mapper = fix.mapper(cpu);
     core::PairedMapper paired(*mapper, fix.multi.concatenated(), {});
     std::vector<core::PairedMapper*> mappers = {&paired};
-    EXPECT_THROW(pipeline::run_paired_pipeline(
-                     r1, r2, mappers, 3,
-                     [](std::size_t, const pipeline::PairedUnit&,
+    EXPECT_THROW(pipeline::run_bucketed_paired_pipeline(
+                     reader, mappers, 3,
+                     [](std::size_t, const pipeline::OrderedPairBatch&,
                         const core::PairedResult&) {},
                      {}),
                  std::runtime_error);
@@ -459,15 +511,8 @@ TEST(MappingPipeline, RecordsMetricsWhenTracing) {
     ocl::Device cpu(skew_profile("cpu", 8, 1e9));
     auto mapper = fix.mapper(cpu);
     std::vector<core::Mapper*> mappers = {mapper.get()};
-    std::ostringstream sam;
-    pipeline::SamEmitter emitter(sam, fix.multi, {false, 3});
-    const auto stats = pipeline::run_mapping_pipeline(
-        reader, mappers, 3,
-        [&](std::size_t, const genomics::ReadBatch& batch,
-            const core::MapResult& result) {
-            emitter.emit(batch, result);
-        },
-        {});
+    pipeline::PipelineStats stats;
+    bucketed_sam(reader, mappers, fix.multi, {false, 3}, {}, &stats);
     EXPECT_EQ(session.registry().counter("pipeline.batches").value(),
               stats.units);
     EXPECT_EQ(session.registry()

@@ -1,14 +1,23 @@
 // The mapping daemon end to end over a real Unix-domain socket:
 // concurrent clients against one resident session, single-end and
 // paired requests interleaved, per-client output byte-identical to the
-// same request mapped one-shot, and a clean drain on stop().
+// same request mapped one-shot, a clean drain on stop(), and socket
+// ownership: a live daemon is never taken over, a stale socket is
+// reclaimed, and a dying daemon never deletes its successor's socket.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include "genomics/fastx.hpp"
 #include "genomics/genome_sim.hpp"
@@ -35,8 +44,8 @@ std::string fastq_text(const genomics::ReadBatch& batch) {
 }
 
 /// One shared daemon fixture: a small genome, a 2-mapper session, a
-/// server on a TempDir socket, and ground-truth SAM for each request
-/// shape produced through the same session one-shot.
+/// server on a per-test TempDir socket, and ground-truth SAM for each
+/// request shape produced through the same session one-shot.
 class ServeTest : public ::testing::Test {
 protected:
     void SetUp() override {
@@ -69,13 +78,20 @@ protected:
         session_ = pipeline::MappingSession::from_multi(
             genomics::MultiReference(std::move(genome)), sconfig);
 
-        serve::ServerConfig server_config;
-        server_config.socket_path =
-            testing::TempDir() + "repute_test_serve.sock";
-        server_config.handlers = 2;
+        server_config_.socket_path = socket_path("");
+        server_config_.handlers = 2;
         server_ = std::make_unique<serve::Server>(*session_,
-                                                  server_config);
+                                                  server_config_);
         server_thread_ = std::thread([this] { served_ = server_->run(); });
+    }
+
+    /// A socket path private to this test case and process, so cases
+    /// running in parallel (ctest -j) never share a socket.
+    static std::string socket_path(const std::string& suffix) {
+        const auto* info =
+            testing::UnitTest::GetInstance()->current_test_info();
+        return testing::TempDir() + "repute_serve." + info->name() + "." +
+               std::to_string(::getpid()) + suffix + ".sock";
     }
 
     void TearDown() override {
@@ -129,6 +145,7 @@ protected:
     }
 
     std::unique_ptr<pipeline::MappingSession> session_;
+    serve::ServerConfig server_config_;
     std::unique_ptr<serve::Server> server_;
     std::thread server_thread_;
     std::size_t served_ = 0;
@@ -194,6 +211,108 @@ TEST_F(ServeTest, StopDrainsAndReportsServedCount) {
     server_->stop();
     server_thread_.join();
     EXPECT_EQ(served_, 2u);
+}
+
+/// Leaves a socket file at `path` with nothing listening behind it —
+/// what a crashed daemon leaves.
+void make_stale_socket(const std::string& path) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    ::close(fd); // bound but never listened on: connect() is refused
+}
+
+bool is_socket(const std::string& path) {
+    struct stat st {};
+    return ::lstat(path.c_str(), &st) == 0 && S_ISSOCK(st.st_mode);
+}
+
+/// A server plus its run() thread, stopped and joined on every exit
+/// path (a throwing client must not leave a joinable thread behind).
+struct RunningServer {
+    serve::Server server;
+    std::thread thread;
+
+    RunningServer(pipeline::MappingSession& session,
+                  const serve::ServerConfig& config)
+        : server(session, config), thread([this] { server.run(); }) {}
+    ~RunningServer() {
+        server.stop();
+        thread.join();
+    }
+};
+
+TEST_F(ServeTest, SecondServerOnLivePathThrows) {
+    try {
+        serve::Server intruder(*session_, server_config_);
+        FAIL() << "second server took over a live socket";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("already listening"),
+                  std::string::npos)
+            << e.what();
+    }
+    // The incumbent still owns the path and still serves.
+    const auto wire = single_request("incumbent");
+    EXPECT_EQ(via_socket(wire), one_shot(wire));
+}
+
+TEST_F(ServeTest, StaleSocketFileIsReclaimed) {
+    serve::ServerConfig config = server_config_;
+    config.socket_path = socket_path(".stale");
+    make_stale_socket(config.socket_path);
+    ASSERT_TRUE(is_socket(config.socket_path));
+
+    const RunningServer running(*session_, config);
+    const auto wire = single_request("reclaimed");
+    std::ostringstream sam;
+    serve::run_client(config.socket_path, wire, sam);
+    EXPECT_EQ(sam.str(), one_shot(wire));
+}
+
+TEST_F(ServeTest, NonSocketFileIsNeverReplaced) {
+    serve::ServerConfig config = server_config_;
+    config.socket_path = socket_path(".file");
+    { std::ofstream(config.socket_path) << "precious"; }
+    try {
+        serve::Server server(*session_, config);
+        FAIL() << "server replaced a regular file";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("not a socket"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::ifstream in(config.socket_path);
+    std::string content;
+    in >> content;
+    EXPECT_EQ(content, "precious");
+    ::unlink(config.socket_path.c_str());
+}
+
+TEST_F(ServeTest, DyingDaemonLeavesSuccessorSocketInPlace) {
+    // The incumbent's socket file is removed out from under it (an
+    // operator cleaning up a wedged daemon) and a successor binds the
+    // same path; when the old daemon finally exits it must not unlink
+    // the successor's socket.
+    ASSERT_EQ(::unlink(server_config_.socket_path.c_str()), 0);
+    {
+        const RunningServer successor(*session_, server_config_);
+
+        server_->stop();
+        server_thread_.join();
+        server_.reset(); // the old daemon's destructor runs here
+
+        EXPECT_TRUE(is_socket(server_config_.socket_path));
+        const auto wire = single_request("successor");
+        std::ostringstream sam;
+        serve::run_client(server_config_.socket_path, wire, sam);
+        EXPECT_EQ(sam.str(), one_shot(wire));
+    }
+    // The successor does clean up its own socket on exit.
+    EXPECT_FALSE(is_socket(server_config_.socket_path));
 }
 
 } // namespace

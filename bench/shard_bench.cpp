@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/sharded_mapper.hpp"
 #include "genomics/fastx.hpp"
 #include "genomics/genome_sim.hpp"
 #include "genomics/multi_reference.hpp"
@@ -173,7 +172,7 @@ int main(int argc, char** argv) {
         const auto opened = index::ShardedIndex::open(manifest);
 
         Trio trio;
-        auto sharded = core::make_sharded_repute(
+        auto sharded = core::make_repute(
             core::shard_views_of(opened), trio.shares());
         const auto result = sharded->map(sim.batch, delta);
 

@@ -8,8 +8,9 @@
 #                 --xfer: double-buffered staging must beat serialized
 #                 by >=1.15x on modeled time)
 #   tsan          ThreadSanitizer build of the queue/scheduler-heavy
-#                 tests plus the streaming pipeline and the
-#                 double-buffered staging equivalence matrix
+#                 tests plus the streaming pipeline, the
+#                 double-buffered staging equivalence matrix and the
+#                 sharded-mapper tests (test_shard)
 #   asan          AddressSanitizer build of the index/filter hot paths
 #                 (rank-block and scratch-reuse pointer arithmetic), the
 #                 verification funnel and the SIMD differential harness
@@ -30,7 +31,7 @@
 #                 paired, static and dynamic schedules), the
 #                 parallel-build speedup gate (check_bench --only-shard,
 #                 >=1.5x at --jobs 4 on multi-core machines, recorded in
-#                 BENCH_shard.json) and the shard-merge tests under TSan
+#                 BENCH_shard.json); test_shard runs under TSan in tsan
 #   mixed         mixed-length + gzip smoke on generated real-shape
 #                 fixtures (ci/gen_mixed_fixtures.py, cacheable keyed on
 #                 the generator's own hash): CLI mapping of interleaved
@@ -135,7 +136,7 @@ if has_tier tsan; then
           -DCMAKE_BUILD_TYPE=RelWithDebInfo "${LAUNCHER[@]}"
     cmake --build build-tsan -j "$JOBS" \
           --target test_ocl test_scheduler test_determinism test_pipeline \
-          test_xfer
+          test_xfer test_shard
     ./build-tsan/tests/test_ocl
     ./build-tsan/tests/test_scheduler
     ./build-tsan/tests/test_determinism
@@ -145,6 +146,10 @@ if has_tier tsan; then
     # Double-buffered staging: per-direction DMA clocks and event
     # wait-lists crossing the scheduler's worker threads.
     ./build-tsan/tests/test_xfer
+    # The one mapper over K index views: per-device scatter threads,
+    # view restaging on the scheduler's workers, the shard-build
+    # ThreadPool and the gather-side merge.
+    ./build-tsan/tests/test_shard
 fi
 
 if has_tier asan; then
@@ -399,13 +404,6 @@ PY
         --shard-binary build/bench/shard_bench \
         --shard-out "$SHARD_TMP/BENCH_shard.json"
 
-    # Shard merge and the parallel build under TSan: the per-device
-    # scatter threads, the shard-build ThreadPool and the gather-side
-    # merge are exactly the concurrency this tier exists for.
-    cmake -B build-tsan -S . -DREPUTE_SANITIZE=thread \
-          -DCMAKE_BUILD_TYPE=RelWithDebInfo "${LAUNCHER[@]}"
-    cmake --build build-tsan -j "$JOBS" --target test_shard
-    ./build-tsan/tests/test_shard
 fi
 
 if has_tier mixed; then

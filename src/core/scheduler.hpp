@@ -1,10 +1,10 @@
 #pragma once
 // Dynamic chunked work-stealing scheduler for multi-device dispatch.
 //
-// The paper's host program (and HeterogeneousMapper's default path)
-// commits each device to one contiguous slice of the read set up front;
-// Fig. 3 shows how a mispredicted split turns straight into tail
-// latency, and a device failing mid-batch loses its slice outright.
+// The paper's host program (HeterogeneousMapper's static split, its
+// default) commits each device to one contiguous slice of the read set
+// up front; Fig. 3 shows how a mispredicted split turns straight into
+// tail latency, and a device failing mid-batch loses its slice outright.
 // This scheduler instead cuts the batch into chunks: each device's
 // deque is seeded in proportion to a warm-start share (balanced_shares
 // or tune_shares — the probe becomes a warm start, not a commitment),

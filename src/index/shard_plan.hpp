@@ -12,7 +12,7 @@
 // batches across shards. Each shard additionally indexes an overlap
 // overhang into its neighbours so candidate windows near a shard cut
 // see exactly the bytes the monolithic index would show them; ownership
-// of reported positions stays disjoint (see core/sharded_mapper.hpp).
+// of reported positions stays disjoint (see core/repute_mapper.hpp).
 //
 // SHRiMP ships this exact workflow as utils/SPLIT-DB + per-shard index
 // sets; GRIM-Filter partitions into per-memory-unit bins the same way.

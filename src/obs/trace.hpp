@@ -9,9 +9,10 @@
 // Span sources:
 //   - ocl::CommandQueue records one span per kernel launch (the
 //     device's queue track);
-//   - core::HeterogeneousMapper subdivides each completed launch into
-//     filtration → locate → verify sub-spans (record_stage_spans),
-//     which nest under the launch span in the Chrome export;
+//   - core::HeterogeneousMapper (any number of index views, either
+//     schedule) subdivides each completed launch into filtration →
+//     locate → verify sub-spans (record_stage_spans), which nest under
+//     the launch span in the Chrome export;
 //   - core::ChunkScheduler records chunk spans and steal / retry /
 //     quarantine instants on a separate scheduler track.
 //

@@ -125,25 +125,14 @@ void MappingSession::build_pool() {
     }
     const std::size_t pool =
         std::max<std::size_t>(config_.mapper_pool, 1);
+    const std::vector<core::ShardView> views =
+        sharded_ ? core::shard_views_of(*sharded_)
+                 : std::vector<core::ShardView>{core::whole_index_view(
+                       multi_->concatenated(), *fm_)};
     for (std::size_t i = 0; i < pool; ++i) {
-        if (sharded_) {
-            auto views = core::shard_views_of(*sharded_);
-            pool_.push_back(config_.flavor == "repute"
-                                ? core::make_sharded_repute(
-                                      std::move(views), shares,
-                                      mapper_config)
-                                : core::make_sharded_coral(
-                                      std::move(views), shares,
-                                      mapper_config));
-        } else {
-            const auto& reference = multi_->concatenated();
-            pool_.push_back(
-                config_.flavor == "repute"
-                    ? core::make_repute(reference, *fm_, shares,
-                                        mapper_config)
-                    : core::make_coral(reference, *fm_, shares,
-                                       mapper_config));
-        }
+        pool_.push_back(config_.flavor == "repute"
+                            ? core::make_repute(views, shares, mapper_config)
+                            : core::make_coral(views, shares, mapper_config));
         free_.push_back(pool_.back().get());
     }
     export_footprint_metrics();

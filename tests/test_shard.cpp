@@ -4,16 +4,18 @@
 // image (the quarter-of-RAM OpenCL ceiling the sharding exists to
 // bypass).
 //
-// Identity fixtures are substitution-only reads over a clean random
+// Byte-identity fixtures are substitution-only reads over a clean random
 // reference: index-frequency-dependent DP seed plans can pick different
 // collapse representatives for indel clusters between a shard's local
 // index and the monolithic one, which is a documented seed-plan caveat
-// (DESIGN.md §5g), not a merge bug.
+// (DESIGN.md §5g), not a merge bug. Indel-bearing reads are held to the
+// weaker equivalence that caveat allows (IndelReadsMapEquivalently...).
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -21,7 +23,6 @@
 #include <vector>
 
 #include "core/repute_mapper.hpp"
-#include "core/sharded_mapper.hpp"
 #include "genomics/fastx.hpp"
 #include "genomics/genome_sim.hpp"
 #include "genomics/multi_reference.hpp"
@@ -345,7 +346,7 @@ TEST_F(ShardIdentityTest, StaticScheduleMatchesMonolithic) {
     ocl::Device dev(cpu_profile("static-cpu"));
     auto mono = core::make_repute(multi_->concatenated(), *fm_,
                                   {{&dev, 1.0}});
-    auto sharded = core::make_sharded_repute(
+    auto sharded = core::make_repute(
         core::shard_views_of(*sharded_), {{&dev, 1.0}});
     expect_identical(mono->map(sim_->batch, 4),
                      sharded->map(sim_->batch, 4));
@@ -357,7 +358,7 @@ TEST_F(ShardIdentityTest, StaticMultiDeviceMatchesMonolithic) {
     ocl::Device mono_dev(cpu_profile("split-mono"));
     auto mono = core::make_repute(multi_->concatenated(), *fm_,
                                   {{&mono_dev, 1.0}});
-    auto sharded = core::make_sharded_repute(
+    auto sharded = core::make_repute(
         core::shard_views_of(*sharded_), {{&a, 2.0}, {&b, 1.0}});
     expect_identical(mono->map(sim_->batch, 4),
                      sharded->map(sim_->batch, 4));
@@ -375,7 +376,7 @@ TEST_F(ShardIdentityTest, DynamicScheduleMatchesMonolithic) {
     core::HeterogeneousMapperConfig config;
     config.schedule = core::ScheduleMode::Dynamic;
     config.scheduler.chunk_items = 64;
-    auto sharded = core::make_sharded_repute(
+    auto sharded = core::make_repute(
         core::shard_views_of(*sharded_),
         {{&a, 1.0}, {&b, 2.0}, {&c, 1.0}}, config);
     const auto result = sharded->map(sim_->batch, 4);
@@ -400,7 +401,7 @@ TEST_F(ShardIdentityTest, DynamicSurvivesMidBatchDeviceLoss) {
     core::HeterogeneousMapperConfig config;
     config.schedule = core::ScheduleMode::Dynamic;
     config.scheduler.chunk_items = 50;
-    auto sharded = core::make_sharded_repute(
+    auto sharded = core::make_repute(
         core::shard_views_of(*sharded_), {{&a, 1.0}, {&b, 1.0}},
         config);
     const auto result = sharded->map(sim_->batch, 4);
@@ -418,7 +419,7 @@ TEST_F(ShardIdentityTest, CapBindingFirstNMatchesMonolithic) {
     auto mono = core::make_repute(multi_->concatenated(), *fm_,
                                   {{&mono_dev, 1.0}}, config);
     ocl::Device dev(cpu_profile("cap-sharded"));
-    auto sharded = core::make_sharded_repute(
+    auto sharded = core::make_repute(
         core::shard_views_of(*sharded_), {{&dev, 1.0}}, config);
     // delta 5 over noisy reads yields multi-mapping reads that bind the
     // cap; identity must hold regardless.
@@ -468,8 +469,8 @@ TEST_F(ShardIdentityTest, RepeatMotifAcrossShardsBindsCapIdentically) {
         core::make_repute(multi.concatenated(), fm, {{&mono_dev, 1.0}},
                           config);
     ocl::Device dev(cpu_profile("motif-sharded"));
-    auto sharded = core::make_sharded_repute(core::shard_views_of(opened),
-                                             {{&dev, 1.0}}, config);
+    auto sharded = core::make_repute(core::shard_views_of(opened),
+                                     {{&dev, 1.0}}, config);
     const auto expected = mono->map(batch, 2);
     const auto result = sharded->map(batch, 2);
     expect_identical(expected, result);
@@ -485,8 +486,8 @@ TEST_F(ShardIdentityTest, OverhangTooSmallIsActionable) {
         *multi_, temp_manifest_path("thin"), build);
     const auto opened = index::ShardedIndex::open(built.manifest_path);
     ocl::Device dev(cpu_profile("thin-cpu"));
-    auto sharded = core::make_sharded_repute(core::shard_views_of(opened),
-                                             {{&dev, 1.0}});
+    auto sharded =
+        core::make_repute(core::shard_views_of(opened), {{&dev, 1.0}});
     try {
         sharded->map(sim_->batch, 4);
         FAIL() << "expected invalid_argument";
@@ -522,7 +523,7 @@ TEST_F(ShardIdentityTest, MapsPastTheDeviceMemoryCeiling) {
 
     obs::TraceSession session;
     ocl::Device dev(small);
-    auto sharded = core::make_sharded_repute(
+    auto sharded = core::make_repute(
         core::shard_views_of(*sharded_), {{&dev, 1.0}});
     ASSERT_LE(sharded->max_image_bytes(),
               small.max_single_allocation());
@@ -546,7 +547,7 @@ TEST_F(ShardIdentityTest, StaticRunAccountsResidencyAndRestaging) {
     // chunks after the first are the residency hits being asserted.
     obs::TraceSession session;
     ocl::Device dev(cpu_profile("metrics-cpu", 1ULL << 20));
-    auto sharded = core::make_sharded_repute(
+    auto sharded = core::make_repute(
         core::shard_views_of(*sharded_), {{&dev, 1.0}});
     sharded->map(sim_->batch, 4);
 
@@ -557,6 +558,9 @@ TEST_F(ShardIdentityTest, StaticRunAccountsResidencyAndRestaging) {
     EXPECT_EQ(counters.at("shard.restages"), 3u);
     EXPECT_GT(counters.at("shard.restage_bytes"), 0u);
     EXPECT_GT(counters.at("shard.residency_hits"), 0u);
+    // 256 KiB / 800 B output slots = 327-read chunks: the 500-read
+    // slice runs as two kernel invocations per shard, one ceiling split.
+    EXPECT_EQ(counters.at("mapper.buffer_ceiling_splits"), 1u);
 }
 
 TEST_F(ShardIdentityTest, DynamicAffinityKeepsResidentShards) {
@@ -566,7 +570,7 @@ TEST_F(ShardIdentityTest, DynamicAffinityKeepsResidentShards) {
     core::HeterogeneousMapperConfig config;
     config.schedule = core::ScheduleMode::Dynamic;
     config.scheduler.chunk_items = 32;
-    auto sharded = core::make_sharded_repute(
+    auto sharded = core::make_repute(
         core::shard_views_of(*sharded_), {{&a, 1.0}, {&b, 1.0}},
         config);
     sharded->map(sim_->batch, 4);
@@ -578,6 +582,104 @@ TEST_F(ShardIdentityTest, DynamicAffinityKeepsResidentShards) {
     EXPECT_GT(counters.at("shard.residency_hits"),
               counters.at("shard.restages"));
     EXPECT_GT(counters.at("shard.restage_bytes"), 0u);
+}
+
+TEST_F(ShardIdentityTest, RunTransfersMatchDeviceTransferStats) {
+    // Every byte a device's DMA channels moved — each image restage
+    // included — must show in its DeviceRun, in bytes and in modeled
+    // seconds, for one view and for four, on both schedules.
+    ocl::TransferSpec link;
+    link.bytes_per_second = 1e9;
+    link.latency_seconds = 10e-6;
+    for (const bool sharded : {false, true}) {
+        for (const auto schedule : {core::ScheduleMode::StaticSplit,
+                                    core::ScheduleMode::Dynamic}) {
+            SCOPED_TRACE(std::string(sharded ? "K=4 " : "K=1 ") +
+                         (schedule == core::ScheduleMode::Dynamic
+                              ? "dynamic"
+                              : "static"));
+            ocl::Device a(cpu_profile("xfer-a"));
+            ocl::Device b(cpu_profile("xfer-b"));
+            a.set_transfer_spec(link);
+            b.set_transfer_spec(link);
+            core::HeterogeneousMapperConfig config;
+            config.schedule = schedule;
+            config.scheduler.chunk_items = 32;
+            const std::vector<DeviceShare> shares{{&a, 1.0}, {&b, 1.0}};
+            auto mapper =
+                sharded ? core::make_repute(core::shard_views_of(*sharded_),
+                                            shares, config)
+                        : core::make_repute(multi_->concatenated(), *fm_,
+                                            shares, config);
+            const auto result = mapper->map(sim_->batch, 4);
+            ASSERT_EQ(result.device_runs.size(), 2u);
+            for (const core::DeviceRun& run : result.device_runs) {
+                const ocl::Device& dev = run.device_name == a.name() ? a : b;
+                const ocl::TransferStats xfer = dev.transfer_stats();
+                EXPECT_EQ(run.bytes_staged, xfer.bytes_written)
+                    << run.device_name;
+                EXPECT_EQ(run.bytes_drained, xfer.bytes_read)
+                    << run.device_name;
+                EXPECT_NEAR(run.transfer_seconds,
+                            xfer.write_seconds + xfer.read_seconds, 1e-12)
+                    << run.device_name;
+            }
+        }
+    }
+}
+
+TEST_F(ShardIdentityTest, IndelReadsMapEquivalentlyToOneView) {
+    // Shard-local k-mer frequencies change the DP seed plan, and with it
+    // which diagonal of an indel cluster survives collapse (DESIGN.md
+    // §5g), so bytes may differ. What must hold: the same reads map,
+    // and every mapping has a same-strand partner within delta.
+    genomics::ReadSimConfig reads;
+    reads.n_reads = 2'000;
+    reads.read_length = 100;
+    reads.max_errors = 5;
+    reads.indel_fraction = 0.3;
+    reads.seed = 31;
+    const auto sim = genomics::simulate_reads(multi_->concatenated(), reads);
+
+    const auto covered = [](const std::vector<ReadMapping>& from,
+                            const std::vector<ReadMapping>& in,
+                            std::uint32_t delta) {
+        return std::all_of(from.begin(), from.end(), [&](const auto& m) {
+            return std::any_of(in.begin(), in.end(), [&](const auto& p) {
+                return p.strand == m.strand &&
+                       (p.position > m.position ? p.position - m.position
+                                                : m.position - p.position) <=
+                           delta;
+            });
+        });
+    };
+    for (const auto schedule :
+         {core::ScheduleMode::StaticSplit, core::ScheduleMode::Dynamic}) {
+        for (const std::uint32_t delta : {4u, 5u}) {
+            ocl::Device mono_dev(cpu_profile("indel-mono"));
+            ocl::Device dev(cpu_profile("indel-sharded"));
+            core::HeterogeneousMapperConfig config;
+            config.schedule = schedule;
+            const auto expected =
+                core::make_repute(multi_->concatenated(), *fm_,
+                                  {{&mono_dev, 1.0}}, config)
+                    ->map(sim.batch, delta);
+            const auto result =
+                core::make_repute(core::shard_views_of(*sharded_),
+                                  {{&dev, 1.0}}, config)
+                    ->map(sim.batch, delta);
+            ASSERT_EQ(expected.per_read.size(), result.per_read.size());
+            for (std::size_t i = 0; i < result.per_read.size(); ++i) {
+                const auto& mono = expected.per_read[i];
+                const auto& shard = result.per_read[i];
+                ASSERT_EQ(mono.empty(), shard.empty())
+                    << "read " << i << " delta " << delta;
+                ASSERT_TRUE(covered(mono, shard, delta) &&
+                            covered(shard, mono, delta))
+                    << "read " << i << " delta " << delta;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -4,6 +4,7 @@
 //   * filtration ablation: uniform vs heuristic (CORAL) vs full OSS vs
 //     REPUTE's memory-optimized DP — time AND produced candidate count;
 //   * verification ablation: Myers bit-vector vs banded DP vs full DP;
+//   * CIGAR re-alignment of a reported mapping (the SAM writer's cost);
 //   * index primitives: exact backward search, locate, approximate
 //     search tree growth with the error budget (the Yara cost driver);
 //   * suffix-array construction.
@@ -17,6 +18,7 @@
 #include "align/myers.hpp"
 #include "align/myers_simd.hpp"
 #include "align/prefilter.hpp"
+#include "core/cigar.hpp"
 #include "filter/candidates.hpp"
 #include "filter/frequency_scanner.hpp"
 #include "filter/heuristic_seeder.hpp"
@@ -512,6 +514,28 @@ void BM_VerifyFunnel_FullSimd(benchmark::State& state) {
     state.SetItemsProcessed(verified);
 }
 BENCHMARK(BM_VerifyFunnel_FullSimd);
+
+// ------------------------------------------------------ CIGAR re-alignment
+
+void BM_Cigar_Annotate(benchmark::State& state) {
+    // core::annotate_mapping per reported mapping, as the SAM writer
+    // pays it: the simulator's δ = 5, n = 100 reads (substitutions and
+    // indels, both strands) at their true origin. ns per call.
+    const auto& w = workload();
+    const auto& reads = w.reads.batch.reads;
+    std::vector<core::ReadMapping> mappings;
+    for (const auto& origin : w.reads.origins) {
+        mappings.push_back({origin.position, 0, origin.strand});
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const std::size_t r = i++ % reads.size();
+        benchmark::DoNotOptimize(
+            core::annotate_mapping(w.reference, reads[r], mappings[r], 5));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_Cigar_Annotate);
 
 // ------------------------------------------------------ index primitives
 

@@ -13,9 +13,12 @@
 #                 sharded-mapper tests (test_shard)
 #   asan          AddressSanitizer build of the index/filter hot paths
 #                 (rank-block and scratch-reuse pointer arithmetic), the
-#                 verification funnel and the SIMD differential harness
+#                 verification funnel, the SIMD differential harness and
+#                 the CIGAR traceback's differential harness and
+#                 annotate-vs-oracle property (test_align, test_cigar)
 #   ubsan         UndefinedBehaviorSanitizer build of the alignment
-#                 kernels, funnel and SIMD differential harness
+#                 kernels (CIGAR traceback included), funnel, SIMD
+#                 differential harness and CIGAR annotation
 #                 (shift/overflow-dense bit-vector code)
 #   simdoff       -DREPUTE_SIMD=OFF build: the portable scalar-fallback
 #                 lane engine must pass the same differential harness
@@ -158,7 +161,7 @@ if has_tier asan; then
           -DCMAKE_BUILD_TYPE=RelWithDebInfo "${LAUNCHER[@]}"
     cmake --build build-asan -j "$JOBS" \
           --target test_index test_filter test_funnel test_myers_simd \
-          test_rix
+          test_rix test_align test_cigar
     ./build-asan/tests/test_index
     ./build-asan/tests/test_filter
     # .rix round trip + corrupt-container rejection under ASan: the
@@ -172,6 +175,11 @@ if has_tier asan; then
     # Lane-batched Myers differential harness: the column-major staging
     # transpose and per-lane arena pointers under ASan.
     ./build-asan/tests/test_myers_simd
+    # Bit-parallel CIGAR traceback vs the full-table oracle, and
+    # annotate_mapping on clipped reference windows: per-column VP/VN
+    # offsets and scratch reused across lengths under ASan.
+    ./build-asan/tests/test_align
+    ./build-asan/tests/test_cigar
 fi
 
 if has_tier ubsan; then
@@ -179,11 +187,13 @@ if has_tier ubsan; then
     cmake -B build-ubsan -S . -DREPUTE_SANITIZE=undefined \
           -DCMAKE_BUILD_TYPE=RelWithDebInfo "${LAUNCHER[@]}"
     cmake --build build-ubsan -j "$JOBS" \
-          --target test_align test_funnel test_myers_simd
-    # Myers bit-vector and banded DP are shift- and overflow-dense; UBSan
-    # runs them standalone (the ASan tier already pairs ASan+UBSan, this
-    # catches UB that only manifests without ASan's memory layout).
+          --target test_align test_funnel test_myers_simd test_cigar
+    # Myers bit-vector, banded DP and the CIGAR traceback are shift- and
+    # overflow-dense; UBSan runs them standalone (the ASan tier already
+    # pairs ASan+UBSan, this catches UB that only manifests without
+    # ASan's memory layout).
     ./build-ubsan/tests/test_align
+    ./build-ubsan/tests/test_cigar
     ./build-ubsan/tests/test_funnel
     # The lane engine's vector shifts/carries under UBSan.
     ./build-ubsan/tests/test_myers_simd

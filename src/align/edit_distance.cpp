@@ -1,8 +1,10 @@
 #include "align/edit_distance.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <vector>
+#include <bit>
+#include <charconv>
+
+#include "align/myers.hpp"
 
 namespace repute::align {
 
@@ -124,70 +126,162 @@ std::uint32_t banded_semiglobal_distance(
     return best;
 }
 
+bool SemiGlobalAligner::align(std::span<const std::uint8_t> pattern,
+                              std::span<const std::uint8_t> text,
+                              std::uint32_t max_distance,
+                              SemiGlobalAlignment& out) {
+    const std::size_t m = pattern.size();
+    const std::size_t t = text.size();
+    out.cigar.clear();
+    if (m == 0) { // row 0 only: D[0][j] = 0, the empty alignment at 0
+        out.distance = 0;
+        out.text_start = 0;
+        out.text_end = 0;
+        return true;
+    }
+
+    // Forward pass: Myers' search-mode recurrence, the same column
+    // update as MyersMatcher::best_in, with every column's VP/VN words
+    // kept for the traceback. Column j holds the vertical deltas
+    // D[i][j] - D[i-1][j] of rows 1..m as bits 0..m-1: VP marks +1, VN
+    // marks -1. Bits past m - 1 in the top word are left unmasked: the
+    // add's carries and the Ph/Mh shifts only move information upward,
+    // so they never reach a row, and neither the score nor the
+    // traceback reads them.
+    const std::size_t words = (m + 63) / 64;
+    const std::size_t stride = 2 * words;
+    const auto score_shift = static_cast<unsigned>((m - 1) % 64);
+    MyersMatcher::build_peq(pattern, peq_);
+    if (columns_.size() < (t + 1) * stride) {
+        columns_.resize((t + 1) * stride);
+    }
+    std::uint64_t* const cols = columns_.data();
+    // Column 0: D[i][0] = i, every vertical delta +1.
+    std::fill(cols, cols + words, ~0ULL);
+    std::fill(cols + words, cols + stride, 0ULL);
+
+    // Bottom-row score D[m][j] and its leftmost minimum.
+    auto score = static_cast<std::int64_t>(m);
+    std::int64_t best = score;
+    std::size_t best_j = 0;
+    const std::int64_t reject = std::int64_t{max_distance} + 1;
+    for (std::size_t j = 0; j < t;) {
+        const std::uint64_t* const prev = cols + j * stride;
+        std::uint64_t* const cur = cols + (j + 1) * stride;
+        const std::uint64_t* const eq = &peq_[text[j] * words];
+        // Xh = (((Eq & VP) + VP) ^ VP) | Eq with the add's carry, and
+        // the Ph/Mh shift, both rippling from the low word up.
+        std::uint64_t carry = 0, ph_in = 0, mh_in = 0;
+        std::uint64_t ph_top_word = 0, mh_top_word = 0;
+        for (std::size_t w = 0; w < words; ++w) {
+            const std::uint64_t vp = prev[w];
+            const std::uint64_t vn = prev[words + w];
+            const std::uint64_t e = eq[w];
+            const std::uint64_t a = e & vp;
+            const std::uint64_t sum_lo = a + vp;
+            const std::uint64_t sum = sum_lo + carry;
+            carry = (sum_lo < a) | (sum < sum_lo);
+            const std::uint64_t xh = (sum ^ vp) | e;
+            std::uint64_t ph = vn | ~(xh | vp);
+            std::uint64_t mh = vp & xh;
+            ph_top_word = ph;
+            mh_top_word = mh;
+            const std::uint64_t ph_out = ph >> 63;
+            const std::uint64_t mh_out = mh >> 63;
+            ph = (ph << 1) | ph_in; // row 0 is all zeros: carry-in 0
+            mh = (mh << 1) | mh_in;
+            ph_in = ph_out;
+            mh_in = mh_out;
+            const std::uint64_t xv = e | vn;
+            cur[w] = mh | ~(xv | ph);
+            cur[words + w] = ph & xv;
+        }
+        score += std::int64_t((ph_top_word >> score_shift) & 1) -
+                 std::int64_t((mh_top_word >> score_shift) & 1);
+        ++j;
+        if (score < best) {
+            best = score;
+            best_j = j;
+        }
+        // The bottom row moves by at most 1 per column: once it cannot
+        // get below min(best, max_distance + 1) in the columns left, no
+        // later end can win (or be accepted), so they are not computed.
+        if (best == 0 ||
+            score - std::int64_t(t - j) >= std::min(best, reject)) {
+            break;
+        }
+    }
+    if (best > std::int64_t{max_distance}) return false;
+
+    // D[i][j] read back from column j's first i vertical deltas.
+    const auto cell = [&](std::size_t i, std::size_t j) {
+        const std::uint64_t* const vp = cols + j * stride;
+        const std::uint64_t* const vn = vp + words;
+        std::int64_t value = 0;
+        const std::size_t full = i / 64;
+        for (std::size_t w = 0; w < full; ++w) {
+            value += std::popcount(vp[w]) - std::popcount(vn[w]);
+        }
+        if (const std::size_t rem = i % 64; rem != 0) {
+            const std::uint64_t low = (1ULL << rem) - 1;
+            value += std::popcount(vp[full] & low) -
+                     std::popcount(vn[full] & low);
+        }
+        return value;
+    };
+
+    // Traceback from (m, best_j): diagonal first, then I, then D.
+    ops_.clear();
+    std::size_t i = m, j = best_j;
+    std::int64_t value = best; // D[i][j]
+    while (i > 0) {
+        // A match always continues the diagonal: adjacent cells differ
+        // by at most 1, so neither gap move can undercut D[i-1][j-1],
+        // and D[i][j] equals it. Only a mismatch needs the cell.
+        if (j > 0 && (pattern[i - 1] == text[j - 1] ||
+                      value == cell(i - 1, j - 1) + 1)) {
+            ops_.push_back('M');
+            if (pattern[i - 1] != text[j - 1]) --value;
+            --i;
+            --j;
+            continue;
+        }
+        // Neither diagonal: D[i][j] is D[i-1][j] + 1 (a +1 vertical
+        // delta, always so in column 0) or else D[i][j-1] + 1.
+        const std::uint64_t vp = cols[j * stride + (i - 1) / 64];
+        --value;
+        if ((vp >> ((i - 1) % 64)) & 1) {
+            ops_.push_back('I'); // pattern base consumed, none from text
+            --i;
+        } else {
+            ops_.push_back('D'); // text base consumed, none from pattern
+            --j;
+        }
+    }
+
+    out.distance = static_cast<std::uint32_t>(best);
+    out.text_start = static_cast<std::uint32_t>(j);
+    out.text_end = static_cast<std::uint32_t>(best_j);
+    // Run-length encode the trail, which runs end to start.
+    char digits[20];
+    for (std::size_t k = ops_.size(); k > 0;) {
+        const char op = ops_[k - 1];
+        std::size_t run = 0;
+        for (; k > 0 && ops_[k - 1] == op; --k) ++run;
+        const auto res = std::to_chars(digits, digits + sizeof digits, run);
+        out.cigar.append(digits, res.ptr);
+        out.cigar.push_back(op);
+    }
+    return true;
+}
+
 std::optional<SemiGlobalAlignment> semiglobal_align(
     std::span<const std::uint8_t> pattern,
     std::span<const std::uint8_t> text, std::uint32_t max_distance) {
-    const std::size_t m = pattern.size();
-    const std::size_t t = text.size();
-    // Full table for traceback: D[(m+1) x (t+1)], row-major.
-    std::vector<std::uint32_t> d((m + 1) * (t + 1));
-    auto at = [&](std::size_t i, std::size_t j) -> std::uint32_t& {
-        return d[i * (t + 1) + j];
-    };
-    for (std::size_t j = 0; j <= t; ++j) at(0, j) = 0;
-    for (std::size_t i = 1; i <= m; ++i) {
-        at(i, 0) = static_cast<std::uint32_t>(i);
-    }
-    for (std::size_t i = 1; i <= m; ++i) {
-        for (std::size_t j = 1; j <= t; ++j) {
-            at(i, j) = std::min(
-                {at(i - 1, j) + 1, at(i, j - 1) + 1,
-                 at(i - 1, j - 1) +
-                     (pattern[i - 1] == text[j - 1] ? 0u : 1u)});
-        }
-    }
-
-    std::size_t best_j = 0;
-    std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
-    for (std::size_t j = 0; j <= t; ++j) {
-        if (at(m, j) < best) {
-            best = at(m, j);
-            best_j = j;
-        }
-    }
-    if (best > max_distance) return std::nullopt;
-
-    // Traceback, preferring diagonal moves for compact CIGARs.
-    std::string ops;
-    std::size_t i = m, j = best_j;
-    while (i > 0) {
-        if (j > 0 &&
-            at(i, j) == at(i - 1, j - 1) +
-                            (pattern[i - 1] == text[j - 1] ? 0u : 1u)) {
-            ops.push_back('M');
-            --i;
-            --j;
-        } else if (at(i, j) == at(i - 1, j) + 1) {
-            ops.push_back('I'); // pattern base consumed, none from text
-            --i;
-        } else {
-            ops.push_back('D'); // text base consumed, none from pattern
-            --j;
-        }
-    }
-    std::reverse(ops.begin(), ops.end());
-
-    // Run-length encode into CIGAR.
+    thread_local SemiGlobalAligner aligner;
     SemiGlobalAlignment out;
-    out.distance = best;
-    out.text_start = static_cast<std::uint32_t>(j);
-    out.text_end = static_cast<std::uint32_t>(best_j);
-    for (std::size_t k = 0; k < ops.size();) {
-        std::size_t run = k;
-        while (run < ops.size() && ops[run] == ops[k]) ++run;
-        out.cigar += std::to_string(run - k);
-        out.cigar.push_back(ops[k]);
-        k = run;
+    if (!aligner.align(pattern, text, max_distance, out)) {
+        return std::nullopt;
     }
     return out;
 }

@@ -26,9 +26,15 @@ void MyersMatcher::set_pattern(std::span<const std::uint8_t> pattern) {
     top_mask_ = top_bits == 64 ? ~0ULL : ((1ULL << top_bits) - 1);
     score_bit_ = 1ULL << ((m_ - 1) % 64);
 
-    peq_.assign(4 * words_, 0);
-    for (std::size_t i = 0; i < m_; ++i) {
-        peq_[pattern[i] * words_ + i / 64] |= 1ULL << (i % 64);
+    build_peq(pattern, peq_);
+}
+
+void MyersMatcher::build_peq(std::span<const std::uint8_t> pattern,
+                             std::vector<std::uint64_t>& peq) {
+    const std::size_t words = (pattern.size() + 63) / 64;
+    peq.assign(4 * words, 0);
+    for (std::size_t i = 0; i < pattern.size(); ++i) {
+        peq[pattern[i] * words + i / 64] |= 1ULL << (i % 64);
     }
 }
 

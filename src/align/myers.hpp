@@ -43,6 +43,14 @@ public:
 
     static constexpr std::size_t kMaxPatternLength = 512;
 
+    /// Builds the Peq bit table set_pattern() uses — bit i of word
+    /// peq[c * ceil(m/64) + i/64] is set where pattern[i] == c — for
+    /// any pattern length, reusing `peq`'s capacity. The CIGAR aligner
+    /// (align::SemiGlobalAligner) shares it; the 512-base cap belongs
+    /// to this class's fixed-size scan state, not to the table.
+    static void build_peq(std::span<const std::uint8_t> pattern,
+                          std::vector<std::uint64_t>& peq);
+
     struct Hit {
         std::uint32_t distance = 0;
         std::uint32_t text_end = 0; ///< one past the last aligned text char

@@ -46,6 +46,10 @@ struct PairMapping {
 struct PairedResult {
     std::vector<PairMapping> pairs; ///< best combination per pair
     double mapping_seconds = 0.0;   ///< both single-end passes + rescue
+    /// Host<->device bytes both single-end passes staged/drained (the
+    /// sum of their MapResult::bytes_staged()/bytes_drained()).
+    std::uint64_t bytes_staged = 0;
+    std::uint64_t bytes_drained = 0;
 
     std::size_t count(PairClass c) const noexcept;
 };

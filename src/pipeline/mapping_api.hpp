@@ -102,8 +102,8 @@ struct MapResponse {
     std::size_t dropped = 0;
     std::size_t workers_granted = 0;
     double wall_seconds = 0.0;
-    /// Host<->device traffic this request staged/drained (single-end
-    /// only; paired requests leave them 0). Counted even when transfers
+    /// Host<->device traffic this request staged/drained (a paired
+    /// request counts both mates' passes). Counted even when transfers
     /// are unmodeled.
     std::uint64_t xfer_bytes_staged = 0;
     std::uint64_t xfer_bytes_drained = 0;

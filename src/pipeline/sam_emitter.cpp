@@ -1,12 +1,80 @@
 #include "pipeline/sam_emitter.hpp"
 
+#include <charconv>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
-#include "core/cigar.hpp"
+#include "util/packed_dna.hpp"
 
 namespace repute::pipeline {
+
+namespace {
+
+/// One SAM line's fields as views, so a record is formatted straight
+/// from the read, the mapping and the emitter's buffers without a
+/// SamRecord (and its string copies) per record.
+struct RecordView {
+    std::string_view qname;
+    std::uint16_t flag = 0;
+    std::string_view rname = "*";
+    std::uint32_t pos = 0;
+    unsigned mapq = 255;
+    std::string_view cigar = "*";
+    std::string_view rnext = "*";
+    std::uint32_t pnext = 0;
+    std::int32_t tlen = 0;
+    std::string_view seq = "*";
+    std::uint32_t nm = 0;
+};
+
+RecordView view_of(const genomics::SamRecord& rec) {
+    RecordView view;
+    view.qname = rec.qname;
+    view.flag = rec.flag;
+    view.rname = rec.unmapped() ? std::string_view("*")
+                                : std::string_view(rec.rname);
+    view.pos = rec.pos;
+    view.mapq = rec.mapq;
+    view.cigar = rec.cigar;
+    view.rnext = rec.rnext;
+    view.pnext = rec.pnext;
+    view.tlen = rec.tlen;
+    view.seq = rec.seq;
+    view.nm = rec.edit_distance;
+    return view;
+}
+
+template <typename Int>
+void append_field(std::string& out, Int value, char end = '\t') {
+    char digits[24];
+    const auto res = std::to_chars(digits, digits + sizeof digits, value);
+    out.append(digits, res.ptr);
+    out.push_back(end);
+}
+
+void append_field(std::string& out, std::string_view text) {
+    out.append(text);
+    out.push_back('\t');
+}
+
+/// QNAME FLAG RNAME POS MAPQ CIGAR RNEXT PNEXT TLEN SEQ QUAL NM:i.
+void append_record(std::string& out, const RecordView& rec) {
+    append_field(out, rec.qname);
+    append_field(out, rec.flag);
+    append_field(out, rec.rname);
+    append_field(out, rec.pos);
+    append_field(out, rec.mapq);
+    append_field(out, rec.cigar);
+    append_field(out, rec.rnext);
+    append_field(out, rec.pnext);
+    append_field(out, rec.tlen);
+    append_field(out, rec.seq);
+    out.append("*\tNM:i:");
+    append_field(out, rec.nm, '\n');
+}
+
+} // namespace
 
 SamEmitter::SamEmitter(std::ostream& out,
                        const genomics::MultiReference& multi,
@@ -22,17 +90,7 @@ void SamEmitter::write_header() {
     *out_ << "@PG\tID:repute\tPN:repute\tVN:1.0.0\n";
 }
 
-void SamEmitter::write_record(std::ostream& out,
-                              const genomics::SamRecord& rec) {
-    out << rec.qname << '\t' << rec.flag << '\t'
-        << (rec.unmapped() ? "*" : rec.rname) << '\t' << rec.pos << '\t'
-        << static_cast<unsigned>(rec.mapq) << '\t' << rec.cigar << '\t'
-        << rec.rnext << '\t' << rec.pnext << '\t' << rec.tlen << '\t'
-        << rec.seq << "\t*\tNM:i:" << rec.edit_distance << '\n';
-    ++stats_.records;
-}
-
-void SamEmitter::emit_read(std::ostream& out,
+void SamEmitter::emit_read(std::string& out,
                            const genomics::ReadBatch& batch,
                            std::size_t index,
                            const core::MapResult& result) {
@@ -42,46 +100,49 @@ void SamEmitter::emit_read(std::ostream& out,
     // carry the class ceiling there (virtual padding), and boundary
     // checks must see the true footprint.
     const auto read_len = static_cast<std::uint32_t>(read.length());
+    seq_.resize(read.codes.size());
+    for (std::size_t i = 0; i < read.codes.size(); ++i) {
+        seq_[i] = util::code_to_base(read.codes[i]);
+    }
+    if (config_.cigar) annotator_.set_read(read);
     std::size_t emitted = 0;
-    bool first = true;
     for (const auto& m : result.per_read[index]) {
         if (!multi_->within_one_sequence(m.position, read_len)) {
             ++stats_.dropped_boundary;
             continue;
         }
-        genomics::SamRecord rec;
+        RecordView rec;
         rec.qname = read.name;
-        rec.seq = read.to_string();
-        rec.edit_distance = m.edit_distance;
+        rec.seq = seq_;
+        rec.nm = m.edit_distance;
         if (m.strand == genomics::Strand::Reverse) {
             rec.flag |= genomics::SamRecord::kFlagReverse;
         }
-        if (!first) rec.flag |= genomics::SamRecord::kFlagSecondary;
+        if (emitted != 0) rec.flag |= genomics::SamRecord::kFlagSecondary;
         std::uint32_t global_pos = m.position;
         if (config_.cigar) {
-            const auto annotated = core::annotate_mapping(
-                reference, read, m, config_.delta);
-            if (!annotated.has_value()) {
+            if (!annotator_.annotate(reference, m, config_.delta,
+                                     annotated_)) {
                 ++stats_.dropped_cigar;
                 continue;
             }
-            rec.cigar = annotated->cigar;
-            rec.edit_distance = annotated->mapping.edit_distance;
-            global_pos = annotated->precise_position;
+            rec.cigar = annotated_.cigar;
+            rec.nm = annotated_.mapping.edit_distance;
+            global_pos = annotated_.precise_position;
         }
         const auto loc = multi_->resolve(global_pos);
         rec.rname = multi_->sequence_name(loc.sequence_index);
         rec.pos = loc.offset + 1;
-        write_record(out, rec);
-        first = false;
+        append_record(out, rec);
+        ++stats_.records;
         ++emitted;
     }
     if (emitted == 0) {
-        genomics::SamRecord rec;
+        RecordView rec;
         rec.qname = read.name;
         rec.flag = genomics::SamRecord::kFlagUnmapped;
-        rec.rname = "*";
-        write_record(out, rec);
+        append_record(out, rec);
+        ++stats_.records;
     }
     ++stats_.reads;
 }
@@ -89,19 +150,22 @@ void SamEmitter::emit_read(std::ostream& out,
 void SamEmitter::emit(const genomics::ReadBatch& batch,
                       const core::MapResult& result) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        emit_read(*out_, batch, i, result);
+        buffer_.clear();
+        emit_read(buffer_, batch, i, result);
+        out_->write(buffer_.data(),
+                    static_cast<std::streamsize>(buffer_.size()));
     }
 }
 
 std::string SamEmitter::render_read(const genomics::ReadBatch& batch,
                                     std::size_t index,
                                     const core::MapResult& result) {
-    std::ostringstream buf;
-    emit_read(buf, batch, index, result);
-    return std::move(buf).str();
+    buffer_.clear();
+    emit_read(buffer_, batch, index, result);
+    return buffer_;
 }
 
-void SamEmitter::finalize_pair_record(std::ostream& out,
+void SamEmitter::finalize_pair_record(std::string& out,
                                       genomics::SamRecord& rec,
                                       std::uint32_t own_len,
                                       std::uint32_t mate_len) {
@@ -132,7 +196,8 @@ void SamEmitter::finalize_pair_record(std::ostream& out,
             rec.tlen = 0;
         }
     }
-    write_record(out, rec);
+    append_record(out, view_of(rec));
+    ++stats_.records;
     ++stats_.reads;
 }
 
@@ -151,10 +216,10 @@ std::vector<std::string> SamEmitter::render_paired(
             static_cast<std::uint32_t>(first.reads[i].length());
         const auto len2 =
             static_cast<std::uint32_t>(second.reads[i].length());
-        std::ostringstream buf;
-        finalize_pair_record(buf, records[2 * i], len1, len2);
-        finalize_pair_record(buf, records[2 * i + 1], len2, len1);
-        out.push_back(std::move(buf).str());
+        buffer_.clear();
+        finalize_pair_record(buffer_, records[2 * i], len1, len2);
+        finalize_pair_record(buffer_, records[2 * i + 1], len2, len1);
+        out.push_back(buffer_);
     }
     return out;
 }

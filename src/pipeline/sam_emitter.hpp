@@ -15,8 +15,14 @@
 // offset) and drops mappings whose window straddles a sequence
 // boundary. With cigar enabled (the default) each mapping is re-aligned
 // host-side for a precise position and CIGAR string
-// (core::annotate_mapping); mappings the re-alignment cannot confirm
-// are dropped and counted.
+// (core::CigarAnnotator); mappings the re-alignment cannot confirm are
+// dropped and counted.
+//
+// Rendering reuses the emitter's own buffers: each read's SEQ is built
+// once for all its records, the re-alignment scratch
+// (core::CigarAnnotator) is kept across mappings, and records are
+// formatted with std::to_chars into one reused string — so one emitter
+// belongs to one thread at a time (the pipeline's writer).
 
 #include <cstdint>
 #include <iosfwd>
@@ -24,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cigar.hpp"
 #include "core/mapping.hpp"
 #include "core/paired.hpp"
 #include "genomics/multi_reference.hpp"
@@ -77,10 +84,12 @@ public:
     const Stats& stats() const noexcept { return stats_; }
 
 private:
-    void write_record(std::ostream& out, const genomics::SamRecord& rec);
-    void emit_read(std::ostream& out, const genomics::ReadBatch& batch,
+    /// Appends one read's records to `out`.
+    void emit_read(std::string& out, const genomics::ReadBatch& batch,
                    std::size_t index, const core::MapResult& result);
-    void finalize_pair_record(std::ostream& out, genomics::SamRecord& rec,
+    /// Resolves one mate record to per-sequence coordinates and appends
+    /// it to `out`.
+    void finalize_pair_record(std::string& out, genomics::SamRecord& rec,
                               std::uint32_t own_len,
                               std::uint32_t mate_len);
 
@@ -88,6 +97,10 @@ private:
     const genomics::MultiReference* multi_;
     SamEmitterConfig config_;
     Stats stats_;
+    core::CigarAnnotator annotator_;
+    core::AnnotatedMapping annotated_;
+    std::string seq_;    ///< current read's SEQ
+    std::string buffer_; ///< records being rendered
 };
 
 /// Restores input order over per-record SAM strings produced out of

@@ -1,14 +1,21 @@
-// Alignment kernels: the DP references against hand-checked cases, and
-// the Myers bit-vector / banded DP against the full DP on random sweeps.
+// Alignment kernels: the DP references against hand-checked cases, the
+// Myers bit-vector / banded DP against the full DP on random sweeps, and
+// the differential harness pinning the bit-parallel CIGAR traceback
+// (semiglobal_align) to the full-table DP oracle.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "align/edit_distance.hpp"
 #include "align/myers.hpp"
+#include "full_dp_oracle.hpp"
 #include "util/packed_dna.hpp"
 #include "util/prng.hpp"
 
@@ -18,7 +25,10 @@ using repute::align::banded_semiglobal_distance;
 using repute::align::levenshtein;
 using repute::align::MyersMatcher;
 using repute::align::semiglobal_align;
+using repute::align::SemiGlobalAligner;
+using repute::align::SemiGlobalAlignment;
 using repute::align::semiglobal_distance;
+using repute::testing::full_dp_align;
 using repute::util::Xoshiro256;
 
 std::vector<std::uint8_t> codes(const std::string& s) {
@@ -135,6 +145,202 @@ TEST(SemiGlobalAlign, CigarConsumesWholePattern) {
         EXPECT_EQ(consumed, p.size()) << "cigar " << result->cigar;
         EXPECT_EQ(result->distance, semiglobal_distance(p, t));
     }
+}
+
+// ------------------------------------ CIGAR traceback: differential
+
+/// Asserts the aligner's answer equals the full-table oracle's: same
+/// accept/reject, and when accepted the same distance, window and CIGAR.
+void expect_matches_oracle(SemiGlobalAligner& aligner,
+                           const std::vector<std::uint8_t>& p,
+                           const std::vector<std::uint8_t>& t,
+                           std::uint32_t max_distance, std::size_t& cases) {
+    const auto oracle = full_dp_align(p, t, max_distance);
+    SemiGlobalAlignment got;
+    got.cigar = "stale"; // a reused result must be fully overwritten
+    const bool accepted = aligner.align(p, t, max_distance, got);
+    ++cases;
+    ASSERT_EQ(accepted, oracle.has_value())
+        << "m=" << p.size() << " t=" << t.size() << " max=" << max_distance;
+    if (!accepted) return;
+    ASSERT_EQ(got.distance, oracle->distance)
+        << "m=" << p.size() << " t=" << t.size() << " max=" << max_distance;
+    ASSERT_EQ(got.text_start, oracle->text_start)
+        << "m=" << p.size() << " t=" << t.size() << " max=" << max_distance;
+    ASSERT_EQ(got.text_end, oracle->text_end)
+        << "m=" << p.size() << " t=" << t.size() << " max=" << max_distance;
+    ASSERT_EQ(got.cigar, oracle->cigar)
+        << "m=" << p.size() << " t=" << t.size() << " max=" << max_distance;
+}
+
+/// A low-complexity pattern (tandem repeat of a 1-4 base motif): ties
+/// between equally good alignments are everywhere, so the tie-breaks
+/// (leftmost end, diagonal before I before D) decide the CIGAR.
+std::vector<std::uint8_t> tandem_codes(Xoshiro256& rng, std::size_t n) {
+    const auto motif = random_codes(rng, 1 + rng.bounded(4));
+    std::vector<std::uint8_t> out(n);
+    for (std::size_t i = 0; i < n; ++i) out[i] = motif[i % motif.size()];
+    return out;
+}
+
+// 100 is the single-end read length, 150 the paired one, 512 the
+// verification kernel's longest read; the rest straddle word edges.
+constexpr std::size_t kCigarLengths[] = {1,   63,  64,  65,  100,
+                                         127, 128, 129, 150, 512};
+
+/// Sweep cases per (length, δ): shrinking with m², the oracle's table.
+std::size_t cigar_cases_per_delta(std::size_t m) {
+    return std::clamp<std::size_t>(100'000'000 / (m * m) / 9, 40, 3000);
+}
+
+class CigarDifferential : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CigarDifferential, MatchesFullTableOracle) {
+    // Seeded sweep at one pattern length: every δ in 0..8, windows of
+    // the annotate geometry (n + 2δ, the read planted with ≤ δ+2
+    // edits), windows clipped at the reference's start or end (possibly
+    // shorter than the pattern), unrelated and empty texts, all-mismatch
+    // pairs and tandem repeats; budgets of δ, 0, ≥ m and unbounded.
+    const std::size_t m = GetParam();
+    Xoshiro256 rng(0xC16A5 + m);
+    const std::size_t per_delta = cigar_cases_per_delta(m);
+    SemiGlobalAligner aligner;
+    std::size_t cases = 0;
+    for (std::uint32_t delta = 0; delta <= 8; ++delta) {
+        const std::size_t full = m + 2 * delta;
+        for (std::size_t c = 0; c < per_delta; ++c) {
+            auto p = rng.chance(0.15) ? tandem_codes(rng, m)
+                                      : random_codes(rng, m);
+            std::vector<std::uint8_t> t;
+            switch (rng.bounded(8)) {
+            case 0: // unrelated window
+                t = random_codes(rng, full);
+                break;
+            case 1: // clipped at the text's start: a shorter left flank
+            case 2: { // or at its end: the window runs off the text
+                auto left = random_codes(rng, rng.bounded(delta + 1));
+                const auto edits =
+                    static_cast<std::uint32_t>(rng.bounded(delta + 1));
+                const auto body = mutate(rng, p, edits);
+                left.insert(left.end(), body.begin(), body.end());
+                const std::size_t keep = rng.bounded(left.size() + 1);
+                if (rng.chance(0.5)) {
+                    t.assign(left.end() - static_cast<std::ptrdiff_t>(keep),
+                             left.end());
+                } else {
+                    t.assign(left.begin(),
+                             left.begin() + static_cast<std::ptrdiff_t>(keep));
+                }
+                break;
+            }
+            case 3: // empty, or shorter than the pattern
+                t = rng.chance(0.3) ? std::vector<std::uint8_t>{}
+                                    : random_codes(rng, rng.bounded(m));
+                break;
+            case 4: { // all-mismatch pair
+                const auto base = static_cast<std::uint8_t>(rng.bounded(4));
+                p.assign(m, base);
+                const auto other =
+                    static_cast<std::uint8_t>((base + 1 + rng.bounded(3)) & 3);
+                t.assign(rng.bounded(full + 1), other);
+                break;
+            }
+            default: { // the annotate geometry: read planted in n + 2δ
+                const auto edits =
+                    static_cast<std::uint32_t>(rng.bounded(delta + 3));
+                const auto body = mutate(rng, p, edits);
+                t = random_codes(rng, rng.bounded(2 * delta + 1));
+                t.insert(t.end(), body.begin(), body.end());
+                const auto right = random_codes(rng, full > t.size()
+                                                         ? full - t.size()
+                                                         : 0);
+                t.insert(t.end(), right.begin(), right.end());
+                t.resize(std::min(t.size(), full));
+                break;
+            }
+            }
+            std::uint32_t max_distance = delta;
+            const auto budget = rng.bounded(10);
+            if (budget == 0) {
+                max_distance = 0;
+            } else if (budget == 1) {
+                max_distance = static_cast<std::uint32_t>(m + rng.bounded(4));
+            } else if (budget == 2) {
+                max_distance = std::numeric_limits<std::uint32_t>::max();
+            }
+            expect_matches_oracle(aligner, p, t, max_distance, cases);
+            if (HasFatalFailure()) return;
+        }
+    }
+    EXPECT_EQ(cases, 9 * per_delta);
+}
+
+INSTANTIATE_TEST_SUITE_P(Lengths, CigarDifferential,
+                         ::testing::ValuesIn(kCigarLengths),
+                         [](const auto& param_info) {
+                             return "m" + std::to_string(param_info.param);
+                         });
+
+TEST(CigarDifferential, SweepRunsAtLeast100kCases) {
+    std::size_t total = 0;
+    for (const std::size_t m : kCigarLengths) {
+        total += 9 * cigar_cases_per_delta(m);
+    }
+    EXPECT_GE(total, 100'000u);
+}
+
+TEST(CigarDifferential, ScratchReuseAcrossRandomLengths) {
+    // One aligner across patterns of 1..600 bases (past the verification
+    // kernel's 512 cap: the aligner has no length limit) and texts that
+    // grow and shrink, so every call runs on scratch sized by an earlier,
+    // different call.
+    Xoshiro256 rng(600);
+    SemiGlobalAligner aligner;
+    std::size_t cases = 0;
+    for (int c = 0; c < 1500; ++c) {
+        const std::size_t m = 1 + rng.bounded(600);
+        const auto p = rng.chance(0.2) ? tandem_codes(rng, m)
+                                       : random_codes(rng, m);
+        auto t = mutate(rng, p, static_cast<std::uint32_t>(rng.bounded(12)));
+        const auto flank = random_codes(rng, rng.bounded(20));
+        t.insert(t.begin(), flank.begin(), flank.end());
+        t.resize(rng.bounded(t.size() + 1));
+        expect_matches_oracle(aligner, p, t,
+                              static_cast<std::uint32_t>(rng.bounded(16)),
+                              cases);
+        if (HasFatalFailure()) return;
+    }
+}
+
+TEST(CigarDifferential, EmptyPatternAndEmptyText) {
+    SemiGlobalAligner aligner;
+    std::size_t cases = 0;
+    expect_matches_oracle(aligner, {}, {}, 0, cases);
+    expect_matches_oracle(aligner, {}, codes("ACGT"), 0, cases);
+    expect_matches_oracle(aligner, codes("ACG"), {}, 3, cases);
+    expect_matches_oracle(aligner, codes("ACG"), {}, 2, cases);
+    const auto empty_pattern = semiglobal_align({}, codes("ACGT"), 0);
+    ASSERT_TRUE(empty_pattern.has_value());
+    EXPECT_EQ(empty_pattern->cigar, "");
+    const auto empty_text = semiglobal_align(codes("ACG"), {}, 3);
+    ASSERT_TRUE(empty_text.has_value());
+    EXPECT_EQ(empty_text->cigar, "3I");
+}
+
+TEST(CigarDifferential, TieBreaksHandChecked) {
+    // Two exact occurrences: the leftmost end wins.
+    const auto twice = semiglobal_align(codes("ACGT"), codes("ACGTACGT"), 0);
+    ASSERT_TRUE(twice.has_value());
+    EXPECT_EQ(twice->text_end, 4u);
+    // One base short of a homopolymer run: ending at the last G costs
+    // a deletion (1), but ending one base earlier with a G/A
+    // substitution costs 1 too, and the leftmost best end wins.
+    const auto run = semiglobal_align(codes("CCAAAGG"), codes("CCAAAAGG"), 1);
+    ASSERT_TRUE(run.has_value());
+    EXPECT_EQ(run->distance, 1u);
+    EXPECT_EQ(run->text_start, 0u);
+    EXPECT_EQ(run->text_end, 7u);
+    EXPECT_EQ(run->cigar, "7M");
 }
 
 // ----------------------------------------------------------- banded DP

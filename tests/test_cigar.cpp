@@ -1,5 +1,6 @@
-// CIGAR annotation (the paper's future-work extension) and per-stage
-// kernel accounting.
+// CIGAR annotation (the paper's future-work extension), pinned to the
+// full-table DP oracle on a repeat-rich reference, and per-stage kernel
+// accounting.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 #include <string>
 
 #include "core/cigar.hpp"
+#include "full_dp_oracle.hpp"
 #include "core/kernels.hpp"
 #include "core/repute_mapper.hpp"
 #include "filter/memopt_seeder.hpp"
@@ -16,10 +18,14 @@
 #include "index/fm_index.hpp"
 #include "ocl/platform.hpp"
 #include "pipeline/sam_emitter.hpp"
+#include "util/packed_dna.hpp"
+#include "util/prng.hpp"
 
 namespace {
 
+using repute::core::AnnotatedMapping;
 using repute::core::annotate_mapping;
+using repute::core::CigarAnnotator;
 using repute::core::KernelConfig;
 using repute::core::ReadMapping;
 using repute::core::StageTotals;
@@ -197,6 +203,131 @@ TEST_F(CigarTest, PrecisePositionMatchesOriginForCleanReads) {
         }
     }
     EXPECT_GT(checked, 0u);
+}
+
+// ------------------------------------------ annotate vs the oracle
+
+/// What annotate_mapping must return for `mapping`: the full-table DP
+/// over the same window (n + 2δ bases from position - δ, clipped to the
+/// reference) against the read on the mapping's strand.
+std::optional<AnnotatedMapping> oracle_annotation(
+    const Reference& reference, const repute::genomics::Read& read,
+    const ReadMapping& mapping, std::uint32_t delta) {
+    const auto n = static_cast<std::uint32_t>(read.length());
+    const auto text_len = static_cast<std::uint32_t>(reference.size());
+    const std::uint32_t win_lo =
+        mapping.position >= delta ? mapping.position - delta : 0;
+    if (win_lo >= text_len) return std::nullopt;
+    const std::uint32_t win_len =
+        std::min<std::uint32_t>(n + 2 * delta, text_len - win_lo);
+    const auto pattern = mapping.strand == Strand::Reverse
+                             ? read.reverse_complement()
+                             : read.codes;
+    const auto window = reference.sequence().extract(win_lo, win_len);
+    const auto alignment =
+        repute::testing::full_dp_align(pattern, window, delta);
+    if (!alignment.has_value()) return std::nullopt;
+    AnnotatedMapping out;
+    out.mapping = mapping;
+    out.mapping.edit_distance =
+        static_cast<std::uint16_t>(alignment->distance);
+    out.precise_position = win_lo + alignment->text_start;
+    out.cigar = alignment->cigar;
+    return out;
+}
+
+TEST(CigarOracle, AnnotateMatchesFullTableOnRepeatRichReference) {
+    // A repeat-rich reference (half interspersed repeats at 2.5%
+    // divergence, 10% tandem repeats) where equally good alignments
+    // abound, simulated reads with indels on both strands, and mappings
+    // at the true origin, jittered off it, on the wrong strand, clipped
+    // at the reference's start and end, and past its end. Both entry
+    // points — the one-shot annotate_mapping and a CigarAnnotator
+    // reused across every read — must equal the oracle.
+    GenomeSimConfig gconfig;
+    gconfig.length = 200'000;
+    gconfig.seed = 15;
+    gconfig.interspersed_fraction = 0.5;
+    gconfig.repeat_divergence = 0.025;
+    gconfig.tandem_fraction = 0.1;
+    const Reference reference = simulate_genome(gconfig);
+    const auto text_len = static_cast<std::uint32_t>(reference.size());
+
+    ReadSimConfig rconfig;
+    rconfig.n_reads = 1500;
+    rconfig.read_length = 100;
+    rconfig.max_errors = 5;
+    rconfig.indel_fraction = 0.3;
+    rconfig.seed = 16;
+    auto sim = simulate_reads(reference, rconfig);
+
+    // Edge reads: copies of the reference's first and last 100 bases.
+    repute::util::Xoshiro256 rng(17);
+    for (std::uint32_t k = 0; k < 8; ++k) {
+        for (const std::uint32_t pos : {k, text_len - 100 - k}) {
+            repute::genomics::Read read;
+            read.codes = reference.sequence().extract(pos, 100);
+            read.codes[rng.bounded(100)] =
+                static_cast<std::uint8_t>(rng.bounded(4));
+            sim.batch.reads.push_back(std::move(read));
+            sim.origins.push_back({pos, Strand::Forward, 1});
+        }
+    }
+
+    CigarAnnotator annotator;
+    AnnotatedMapping reused;
+    std::size_t checked = 0, accepted = 0, reverse_accepted = 0;
+    for (std::size_t r = 0; r < sim.batch.reads.size(); ++r) {
+        const auto& read = sim.batch.reads[r];
+        const auto& origin = sim.origins[r];
+        const Strand other = origin.strand == Strand::Forward
+                                 ? Strand::Reverse
+                                 : Strand::Forward;
+        const auto jitter = static_cast<std::uint32_t>(rng.bounded(7));
+        const ReadMapping mappings[] = {
+            {origin.position, 0, origin.strand},
+            {origin.position + jitter, 0, origin.strand},
+            {origin.position >= jitter ? origin.position - jitter : 0, 0,
+             origin.strand},
+            {origin.position, 0, other},
+            {static_cast<std::uint32_t>(rng.bounded(text_len + 8)), 0,
+             rng.chance(0.5) ? Strand::Forward : Strand::Reverse},
+        };
+        annotator.set_read(read);
+        for (const auto& mapping : mappings) {
+            for (const std::uint32_t delta : {3u, 5u}) {
+                const auto expected =
+                    oracle_annotation(reference, read, mapping, delta);
+                const auto one_shot =
+                    annotate_mapping(reference, read, mapping, delta);
+                const bool ok =
+                    annotator.annotate(reference, mapping, delta, reused);
+                ++checked;
+                ASSERT_EQ(one_shot.has_value(), expected.has_value())
+                    << "read " << r << " pos " << mapping.position;
+                ASSERT_EQ(ok, expected.has_value())
+                    << "read " << r << " pos " << mapping.position;
+                if (!expected.has_value()) continue;
+                ++accepted;
+                if (mapping.strand == Strand::Reverse) ++reverse_accepted;
+                for (const AnnotatedMapping& got : {*one_shot, reused}) {
+                    ASSERT_EQ(got.cigar, expected->cigar)
+                        << "read " << r << " pos " << mapping.position;
+                    ASSERT_EQ(got.precise_position,
+                              expected->precise_position);
+                    ASSERT_EQ(got.mapping.edit_distance,
+                              expected->mapping.edit_distance);
+                    ASSERT_EQ(got.mapping.position, mapping.position);
+                    ASSERT_EQ(got.mapping.strand, mapping.strand);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, sim.batch.reads.size() * 5 * 2);
+    // Both strands, and accepts as well as rejects, were exercised.
+    EXPECT_GT(reverse_accepted, sim.batch.reads.size() / 4);
+    EXPECT_GT(accepted, checked / 3);
+    EXPECT_LT(accepted, checked);
 }
 
 // ------------------------------------------------------- stage totals

@@ -1,10 +1,11 @@
 // Paired-end: simulation geometry, proper-pair joining, mate rescue,
-// discordant detection.
+// discordant detection, and transfer accounting of the two passes.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "align/edit_distance.hpp"
 #include "core/paired.hpp"
@@ -13,9 +14,11 @@
 #include "genomics/pair_sim.hpp"
 #include "index/fm_index.hpp"
 #include "ocl/device.hpp"
+#include "pipeline/mapping_api.hpp"
 
 namespace {
 
+using repute::core::MapResult;
 using repute::core::PairClass;
 using repute::core::PairedConfig;
 using repute::core::PairedMapper;
@@ -281,6 +284,98 @@ TEST_F(PairedTest, RejectsMismatchedBatches) {
     EXPECT_THROW(PairedMapper(*mapper, *reference_,
                               PairedConfig{500, 200, true, 2}),
                  std::invalid_argument);
+}
+
+// ------------------------------------------------- transfer accounting
+
+/// Forwards to a real mapper and sums the transfer bytes of every
+/// single-end pass it serves.
+class RecordingMapper final : public repute::core::Mapper {
+public:
+    explicit RecordingMapper(repute::core::Mapper& inner) : inner_(&inner) {}
+
+    MapResult map(const repute::genomics::ReadBatch& batch,
+                  std::uint32_t delta) override {
+        MapResult result = inner_->map(batch, delta);
+        staged += result.bytes_staged();
+        drained += result.bytes_drained();
+        ++passes;
+        return result;
+    }
+    std::string_view name() const noexcept override { return inner_->name(); }
+
+    std::uint64_t staged = 0;
+    std::uint64_t drained = 0;
+    std::size_t passes = 0;
+
+private:
+    repute::core::Mapper* inner_;
+};
+
+repute::ocl::TransferSpec modeled_link() {
+    repute::ocl::TransferSpec spec;
+    spec.bytes_per_second = 1e9;
+    spec.latency_seconds = 1e-5;
+    return spec;
+}
+
+std::string fastq_text(const repute::genomics::ReadBatch& batch) {
+    std::string out;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const auto& read = batch.reads[i];
+        out += "@r" + std::to_string(i) + '\n' + read.to_string() +
+               "\n+\n" + std::string(read.length(), 'I') + '\n';
+    }
+    return out;
+}
+
+TEST_F(PairedTest, PairedResultCarriesBothPassesTransferBytes) {
+    Device device(test_profile());
+    device.set_transfer_spec(modeled_link());
+    auto mapper =
+        repute::core::make_repute(*reference_, *fm_, {{&device, 1.0}});
+    RecordingMapper recorder(*mapper);
+    PairedMapper paired(recorder, *reference_);
+    const auto result = paired.map_pairs(sim_->first, sim_->second, 4);
+    ASSERT_EQ(recorder.passes, 2u);
+    EXPECT_GT(recorder.staged, 0u);
+    EXPECT_GT(recorder.drained, 0u);
+    EXPECT_EQ(result.bytes_staged, recorder.staged);
+    EXPECT_EQ(result.bytes_drained, recorder.drained);
+}
+
+TEST_F(PairedTest, PairedRequestReportsBothPassesTransferBytes) {
+    // One length class and fewer pairs than a batch: the paired request
+    // is one unit, i.e. one single-end pass per mate file, and each
+    // mate file mapped alone is exactly that pass.
+    repute::pipeline::SessionConfig config;
+    config.transfer = modeled_link();
+    auto session = repute::pipeline::MappingSession::from_multi(
+        repute::genomics::MultiReference(*reference_), config);
+    const std::string mates1 = fastq_text(sim_->first);
+    const std::string mates2 = fastq_text(sim_->second);
+
+    const auto map = [&](const std::string* first,
+                         const std::string* second) {
+        std::istringstream in1(*first);
+        std::istringstream in2(second != nullptr ? *second : "");
+        repute::pipeline::MapRequest request;
+        request.reads = &in1;
+        request.reads2 = second != nullptr ? &in2 : nullptr;
+        request.delta = 4;
+        std::ostringstream sam;
+        return session->map(request, sam);
+    };
+    const auto pass1 = map(&mates1, nullptr);
+    const auto pass2 = map(&mates2, nullptr);
+    const auto pair = map(&mates1, &mates2);
+    ASSERT_EQ(pair.pipeline.units, 1u);
+    EXPECT_GT(pass1.xfer_bytes_staged, 0u);
+    EXPECT_GT(pass1.xfer_bytes_drained, 0u);
+    EXPECT_EQ(pair.xfer_bytes_staged,
+              pass1.xfer_bytes_staged + pass2.xfer_bytes_staged);
+    EXPECT_EQ(pair.xfer_bytes_drained,
+              pass1.xfer_bytes_drained + pass2.xfer_bytes_drained);
 }
 
 } // namespace

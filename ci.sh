@@ -2,8 +2,12 @@
 # CI entry point. Tiers:
 #   tier1         configure + build + full ctest (the gate every change
 #                 must pass) + micro-benchmark smoke
-#   bench         benchmark regression gate: micro_kernels vs
-#                 BENCH_kernels.json via ci/check_bench.py (>25% fails)
+#   bench         benchmark regression gate: micro_kernels vs the same
+#                 binary built from the commit the change is based on
+#                 (HEAD for uncommitted work, HEAD~1 on main, else the
+#                 merge-base with origin/main), the two run alternately;
+#                 ci/check_bench.py fails a benchmark whose median
+#                 per-pair slowdown is >25%
 #                 + the transfer-overlap gate (pipeline_throughput
 #                 --xfer: double-buffered staging must beat serialized
 #                 by >=1.15x on modeled time)
@@ -119,17 +123,44 @@ if has_tier tier1; then
 fi
 
 if has_tier bench; then
-    echo "== bench gate: micro_kernels vs BENCH_kernels.json + xfer overlap =="
+    echo "== bench gate: micro_kernels vs the merge-base + xfer overlap =="
     if [[ ! -x build/bench/micro_kernels || ! -x build/bench/pipeline_throughput ]]; then
         cmake -B build -S . -DCMAKE_BUILD_TYPE=Release "${LAUNCHER[@]}"
         cmake --build build -j "$JOBS" --target micro_kernels pipeline_throughput
     fi
-    # Even quick keeps >=2 repetitions: the gate's min-over-reps is what
-    # absorbs scheduler noise on shared runners.
-    if [[ "$QUICK" == "1" ]]; then
-        python3 ci/check_bench.py --min-time 0.005 --repetitions 2
+    # The reference is the commit this change is based on, built from a
+    # scratch checkout (cached per commit under build-bench-base/):
+    #   - tracked files differ from HEAD: the change is uncommitted, so HEAD;
+    #   - on main: the change is the last commit, so HEAD~1;
+    #   - elsewhere (a branch, or a PR's merge checkout): the merge-base
+    #     with origin/main, or HEAD~1 when there is none or it is HEAD.
+    HEAD_SHA="$(git rev-parse HEAD)"
+    if ! git diff --quiet HEAD --; then
+        BASE="$HEAD_SHA"
+    elif [[ "$(git symbolic-ref --short -q HEAD || true)" == "main" ]]; then
+        BASE="$(git rev-parse HEAD~1)"
     else
-        python3 ci/check_bench.py
+        BASE="$(git merge-base HEAD origin/main 2>/dev/null || true)"
+        if [[ -z "$BASE" || "$BASE" == "$HEAD_SHA" ]]; then
+            BASE="$(git rev-parse HEAD~1)"
+        fi
+    fi
+    BASE_DIR="build-bench-base/$BASE"
+    if [[ ! -x "$BASE_DIR/build/bench/micro_kernels" ]]; then
+        rm -rf "$BASE_DIR"
+        mkdir -p "$BASE_DIR/src"
+        git archive "$BASE" | tar -x -C "$BASE_DIR/src"
+        cmake -B "$BASE_DIR/build" -S "$BASE_DIR/src" \
+              -DCMAKE_BUILD_TYPE=Release "${LAUNCHER[@]}"
+        cmake --build "$BASE_DIR/build" -j "$JOBS" --target micro_kernels
+    fi
+    echo "reference: $BASE"
+    if [[ "$QUICK" == "1" ]]; then
+        python3 ci/check_bench.py --min-time 0.005 --pairs 6 \
+            --reference-binary "$BASE_DIR/build/bench/micro_kernels"
+    else
+        python3 ci/check_bench.py \
+            --reference-binary "$BASE_DIR/build/bench/micro_kernels"
     fi
 fi
 

@@ -1,29 +1,34 @@
 #!/usr/bin/env python3
 """Benchmark regression gate.
 
-Runs the micro_kernels google-benchmark binary with JSON output and
-compares per-benchmark CPU time against the committed baseline
-(BENCH_kernels.json). Fails (exit 1) if any benchmark present in both
-runs is more than --tolerance percent slower than the baseline.
+Runs the micro_kernels google-benchmark binary of this change (--binary)
+and of the commit it is based on (--reference-binary, built from a
+scratch checkout of the merge-base by `ci.sh bench`) in the same
+run, and fails (exit 1) if any benchmark present in both is more
+than --tolerance percent slower.
 
-Being faster never fails; benchmarks that exist on only one side are
-reported but do not fail the gate (renames and new benches land with a
-baseline refresh, see --update-baseline).
+The two binaries run alternately, --pairs times each, so both see the
+same host load. Each adjacent (reference, change) pair gives one
+CPU-time ratio per benchmark, and a benchmark's verdict is the median
+of its per-pair ratios. A slowdown from other tenants lands on both
+halves of a pair and cancels in the ratio, whatever factor it slows
+that benchmark by; a real regression shifts every pair. The order
+within a pair flips every pair (A B, B A, A B, ...), so each binary runs
+first in half of them: an effect of running order (a cache the first
+run warms, clock decay over the run) pushes half the ratios up and half
+down instead of shifting the median.
 
-The baseline is machine-specific and shared runners drift, so the
-comparison removes common-mode noise before gating: times are taken as
-the *minimum* over --repetitions runs (minimum is the stable statistic
-for timing), and each benchmark's slowdown is divided by the geometric
-mean slowdown of the whole suite. A machine that is uniformly 40%
-slower today passes; one kernel regressing 25% relative to its peers
-fails. Pass --no-normalize on dedicated, pinned hardware to gate on
-raw times instead. The common-mode factor itself is printed so a
-suite-wide regression (e.g. a dropped -O2) is still visible.
+Benchmarks over tolerance are re-measured with --pairs more alternating
+pairs (up to --retries times, flagged benchmarks only), and the verdict
+is the median over all of their pairs: more samples of the same
+statistic, not a second chance at a minimum.
 
-Transient load spikes are filtered by retrying: any benchmark over
-tolerance is re-measured (up to --retries times, flagged benchmarks
-only) and its time is the minimum across attempts. A spike does not
-reproduce; a real regression does.
+Being faster never fails. A benchmark on only one side (new or deleted
+in this change) is not compared; new ones are listed.
+
+BENCH_kernels.json is the committed trajectory of absolute times on the
+reference host. It is not the gate's reference; --update-baseline
+rewrites it from a fresh run of --binary.
 
 Besides the micro-kernel comparison, the gate runs the transfer-overlap
 fixture (`pipeline_throughput --xfer`) and requires the double-buffered
@@ -41,30 +46,29 @@ check and says so. --only-shard runs just this gate (the CI shard tier
 uses it so the micro-kernel suite is not re-run).
 
 Usage:
-  ci/check_bench.py [--binary build/bench/micro_kernels]
-                    [--baseline BENCH_kernels.json] [--tolerance 25]
-                    [--min-time 0.01] [--repetitions 3] [--filter RE]
+  ci/check_bench.py --reference-binary BASE/build/bench/micro_kernels
+                    [--binary build/bench/micro_kernels] [--tolerance 25]
+                    [--min-time 0.01] [--pairs 8] [--filter RE]
                     [--xfer-binary build/bench/pipeline_throughput]
-                    [--xfer-min-speedup 1.15] [--update-baseline]
+                    [--xfer-min-speedup 1.15]
+                    [--update-baseline [--baseline BENCH_kernels.json]]
                     [--shard-binary build/bench/shard_bench]
                     [--shard-min-build-speedup 1.5] [--only-shard]
 """
 
 import argparse
 import json
-import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 
-# Cross-benchmark acceptance ratios, gated on the same (min-over-
-# repetitions) times as the regression check. Unlike the baseline
-# comparison these are absolute criteria — both sides run in the same
-# process on the same machine, so no normalization is needed. Each
-# entry: the scalar benchmark, its lane-batched counterpart, the items
-# the batched bench processes per iteration, and the minimum required
-# per-item speedup.
+# Cross-benchmark acceptance ratios, gated on this change's times (the
+# minimum over its runs). These are absolute criteria — both sides run
+# in the same process on the same machine. Each entry: the scalar
+# benchmark, its lane-batched counterpart, the items the batched bench
+# processes per iteration, and the minimum required per-item speedup.
 RATIO_GATES = [
     ("BM_Verify_MyersBanded", "BM_Verify_MyersBandedBatched", 8.0, 2.0),
 ]
@@ -100,22 +104,42 @@ def cpu_times(report):
     return times
 
 
-def regressed(baseline, current, tolerance, normalize):
-    """Returns ({name: delta_pct}, common_mode) for shared benchmarks."""
-    ratios = {
-        name: current[name] / baseline[name]
-        for name in set(baseline) & set(current)
-        if baseline[name] > 0
-    }
-    common_mode = 1.0
-    if ratios and normalize:
-        log_sum = sum(math.log(r) for r in ratios.values())
-        common_mode = math.exp(log_sum / len(ratios))
+def measure_pairs(reference, binary, pairs, min_time, bench_filter,
+                  ratios, current):
+    """Runs `pairs` (reference, change) suite-run pairs, order flipped
+    every pair (reference first in pairs 0, 2, ...; change first in 1,
+    3, ...).
+
+    Appends each shared benchmark's per-pair CPU-time ratio
+    (change / reference) to `ratios[name]` and keeps the change's
+    fastest time per benchmark in `current`. The flip restarts at every
+    call, so an even `pairs` splits each call's pairs evenly.
+    """
+
+    def run(bin_path):
+        return cpu_times(run_benchmarks(bin_path, min_time, 1, bench_filter))
+
+    for i in range(pairs):
+        if i % 2 == 0:
+            base = run(reference)
+            now = run(binary)
+        else:
+            now = run(binary)
+            base = run(reference)
+        for name, t in now.items():
+            current[name] = min(current.get(name, t), t)
+            if base.get(name, 0) > 0:
+                ratios.setdefault(name, []).append(t / base[name])
+
+
+def regressed(ratios, tolerance):
+    """Returns ({name: delta_pct} over tolerance, {name: delta_pct})."""
     deltas = {
-        name: (r / common_mode - 1.0) * 100.0 for name, r in ratios.items()
+        name: (statistics.median(r) - 1.0) * 100.0
+        for name, r in ratios.items()
     }
     over = {n: d for n, d in deltas.items() if d > tolerance}
-    return over, deltas, common_mode
+    return over, deltas
 
 
 def run_xfer_gate(binary, min_speedup):
@@ -196,7 +220,16 @@ def run_shard_gate(binary, min_speedup, out_path):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--binary", default="build/bench/micro_kernels")
-    parser.add_argument("--baseline", default="BENCH_kernels.json")
+    parser.add_argument(
+        "--reference-binary",
+        help="micro_kernels built from the merge-base; required unless "
+        "--update-baseline or --only-shard",
+    )
+    parser.add_argument(
+        "--baseline",
+        default="BENCH_kernels.json",
+        help="trajectory file --update-baseline writes",
+    )
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -205,25 +238,33 @@ def main():
         "$REPUTE_BENCH_TOLERANCE)",
     )
     parser.add_argument("--min-time", type=float, default=0.01)
-    parser.add_argument("--repetitions", type=int, default=3)
-    parser.add_argument("--filter", default="")
     parser.add_argument(
-        "--no-normalize",
-        action="store_true",
-        help="gate on raw times instead of dividing out the "
-        "suite-wide (common-mode) slowdown",
+        "--pairs",
+        type=int,
+        default=8,
+        help="(reference, change) suite-run pairs, order flipped every "
+        "pair, so keep it even (default 8)",
     )
+    parser.add_argument(
+        "--repetitions",
+        type=int,
+        default=5,
+        help="repetitions recorded by --update-baseline (default 5)",
+    )
+    parser.add_argument("--filter", default="")
     parser.add_argument(
         "--retries",
         type=int,
         default=2,
-        help="re-measure over-tolerance benchmarks this many times "
-        "before declaring a regression (default 2)",
+        help="re-measure over-tolerance benchmarks with --pairs more "
+        "pairs this many times before declaring a regression "
+        "(default 2)",
     )
     parser.add_argument(
         "--update-baseline",
         action="store_true",
-        help="write the fresh run over --baseline instead of comparing",
+        help="write a fresh run of --binary over --baseline instead of "
+        "comparing",
     )
     parser.add_argument(
         "--xfer-binary",
@@ -275,63 +316,67 @@ def main():
         print("\nOK: sharding gate passed")
         return 0
 
-    report = run_benchmarks(
-        args.binary, args.min_time, args.repetitions, args.filter
-    )
     if args.update_baseline:
+        report = run_benchmarks(
+            args.binary, args.min_time, args.repetitions, args.filter
+        )
         with open(args.baseline, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
         print(f"baseline updated: {args.baseline}")
         return 0
 
-    with open(args.baseline) as fh:
-        baseline = cpu_times(json.load(fh))
-    current = cpu_times(report)
-
-    over, deltas, common_mode = regressed(
-        baseline, current, args.tolerance, not args.no_normalize
+    if not args.reference_binary or not os.path.exists(
+        args.reference_binary
+    ):
+        raise SystemExit(
+            "--reference-binary must name the merge-base's micro_kernels "
+            "(ci.sh bench builds it)"
+        )
+    ratios, current = {}, {}
+    measure_pairs(
+        args.reference_binary,
+        args.binary,
+        args.pairs,
+        args.min_time,
+        args.filter,
+        ratios,
+        current,
     )
+    over, deltas = regressed(ratios, args.tolerance)
     for attempt in range(args.retries):
         if not over:
             break
         names = "|".join(re.escape(n) for n in sorted(over))
         print(
-            f"retry {attempt + 1}: re-measuring {len(over)} "
-            f"over-tolerance benchmark(s)"
+            f"retry {attempt + 1}: {args.pairs} more pairs for "
+            f"{len(over)} over-tolerance benchmark(s)"
         )
-        retry = cpu_times(
-            run_benchmarks(
-                args.binary,
-                args.min_time,
-                args.repetitions,
-                f"^({names})$",
-            )
+        measure_pairs(
+            args.reference_binary,
+            args.binary,
+            args.pairs,
+            args.min_time,
+            f"^({names})$",
+            ratios,
+            current,
         )
-        for name, t in retry.items():
-            current[name] = min(current.get(name, t), t)
-        over, deltas, common_mode = regressed(
-            baseline, current, args.tolerance, not args.no_normalize
-        )
+        over, deltas = regressed(ratios, args.tolerance)
 
-    shared = sorted(set(baseline) & set(current))
     print(
-        f"common-mode factor {common_mode:.3f}x over {len(deltas)} "
-        f"benchmarks ({'divided out' if not args.no_normalize else 'raw gate'})"
+        f"median per-pair CPU-time ratio, change vs "
+        f"{args.reference_binary}, over >= {args.pairs} alternating pairs"
     )
-    regressions = sorted(over.items())
-    print(f"{'benchmark':<40} {'base':>10} {'now':>10} {'delta':>8}")
-    for name in shared:
-        base, now = baseline[name], current[name]
-        delta = deltas.get(name, 0.0)
+    print(f"{'benchmark':<40} {'pairs':>5} {'now':>10} {'delta':>8}")
+    for name in sorted(deltas):
         flag = "  << REGRESSION" if name in over else ""
         print(
-            f"{name:<40} {base:>9.0f}n {now:>9.0f}n {delta:>+7.1f}%{flag}"
+            f"{name:<40} {len(ratios[name]):>5} {current[name]:>9.0f}n "
+            f"{deltas[name]:>+7.1f}%{flag}"
         )
-    for name in sorted(set(baseline) - set(current)):
-        print(f"{name:<40} (in baseline only — not compared)")
-    for name in sorted(set(current) - set(baseline)):
-        print(f"{name:<40} (new — no baseline, not compared)")
+    for name in sorted(set(current) - set(deltas)):
+        print(f"{name:<40} (new — not in the reference, not compared)")
+    regressions = sorted(over.items())
 
     ratio_failures = []
     for scalar, batched, lanes, min_speedup in RATIO_GATES:
@@ -363,7 +408,7 @@ def main():
         if regressions:
             print(
                 f"\nFAIL: {len(regressions)} benchmark(s) regressed more "
-                f"than {args.tolerance:.0f}% vs {args.baseline}"
+                f"than {args.tolerance:.0f}% vs the reference binary"
             )
         if ratio_failures:
             print(

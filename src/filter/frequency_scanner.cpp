@@ -35,24 +35,23 @@ void FrequencyScanner::suffix_frequencies(
     }
 }
 
-std::uint32_t FrequencyScanner::frequency(std::uint32_t start,
-                                          std::uint32_t end,
-                                          std::uint64_t* fm_extends,
-                                          std::uint64_t* qgram_jumps) const {
-    auto range = fm_->whole_range();
+index::FmIndex::Range FrequencyScanner::range(
+    std::uint32_t start, std::uint32_t end, std::uint64_t* fm_extends,
+    std::uint64_t* qgram_jumps) const {
+    auto r = fm_->whole_range();
     std::uint32_t d = end;
     const index::QGramTable* qt = fm_->qgrams();
     if (qt != nullptr && end > start) {
         const std::uint32_t jump = std::min(end - start, qt->q());
-        range = qt->lookup(read_.subspan(end - jump, jump));
+        r = qt->lookup(read_.subspan(end - jump, jump));
         d = end - jump;
         if (qgram_jumps) ++*qgram_jumps;
     }
-    for (; d-- > start && !range.empty();) {
-        range = fm_->extend(range, read_[d]);
+    for (; d-- > start && !r.empty();) {
+        r = fm_->extend(r, read_[d]);
         if (fm_extends) ++*fm_extends;
     }
-    return range.count();
+    return r;
 }
 
 } // namespace repute::filter

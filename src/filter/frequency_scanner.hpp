@@ -47,10 +47,20 @@ public:
         return extends;
     }
 
+    /// FM range of the single k-mer read[start, end): one jump-table
+    /// lookup for its last min(q, end - start) bases, then one extension
+    /// step per remaining base until the range empties. Adds the steps
+    /// actually taken to the counters that are given.
+    index::FmIndex::Range range(std::uint32_t start, std::uint32_t end,
+                                std::uint64_t* fm_extends = nullptr,
+                                std::uint64_t* qgram_jumps = nullptr) const;
+
     /// Frequency of the single k-mer read[start, end).
     std::uint32_t frequency(std::uint32_t start, std::uint32_t end,
                             std::uint64_t* fm_extends = nullptr,
-                            std::uint64_t* qgram_jumps = nullptr) const;
+                            std::uint64_t* qgram_jumps = nullptr) const {
+        return range(start, end, fm_extends, qgram_jumps).count();
+    }
 
 private:
     const index::FmIndex* fm_;

@@ -13,6 +13,29 @@ constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
 std::uint32_t sat_add(std::uint32_t a, std::uint32_t b) noexcept {
     return (a == kInf || b == kInf || a > kInf - b) ? kInf : a + b;
 }
+
+/// Best divider for cell (x, p), x >= 2: min over d = d_lo + w',
+/// w' <= w, of prev_row[w'] + freq(d, p), where freq(d, p) is
+/// scan[d - scan_start]. Scanning ascending with strict `<` and stopping
+/// at 0 keeps tie-breaks identical to OptimalSeeder.
+std::uint32_t best_divider(const std::uint32_t* prev_row,
+                           const std::uint32_t* scan, std::uint32_t d_lo,
+                           std::uint32_t w, std::uint16_t& best_d,
+                           std::uint64_t& dp_cells) noexcept {
+    std::uint32_t best = kInf;
+    best_d = 0;
+    for (std::uint32_t wp = 0; wp <= w; ++wp) {
+        ++dp_cells;
+        if (prev_row[wp] == kInf) continue;
+        const std::uint32_t total = sat_add(prev_row[wp], scan[wp]);
+        if (total < best) {
+            best = total;
+            best_d = static_cast<std::uint16_t>(d_lo + wp);
+            if (best == 0) break;
+        }
+    }
+    return best;
+}
 } // namespace
 
 void MemoryOptimizedSeeder::select(const index::FmIndex& fm,
@@ -21,92 +44,90 @@ void MemoryOptimizedSeeder::select(const index::FmIndex& fm,
                                    SeedScratch& scratch) const {
     validate_read_parameters(read.size(), delta, s_min_);
     const auto n = static_cast<std::uint32_t>(read.size());
-    const std::uint32_t n_seeds = delta + 1;
-    const std::uint32_t e = exploration_space(n, delta, s_min_);
+    const std::uint32_t s = s_min_;
+    const std::uint32_t e = exploration_space(n, delta, s);
+    const std::uint32_t width = e + 1;
 
     plan.reset();
     FrequencyScanner scanner(fm, read);
 
-    // Window-sized DP rows: row[w] corresponds to prefix end
-    // p = x*s_min + w for the iteration currently indexed by x.
-    auto& prev = scratch.row_a;
-    auto& curr = scratch.row_b;
-    prev.assign(e + 1, kInf);
-    curr.assign(e + 1, kInf);
-    // dividers[(x-2)*(e+1) + w] = best divider d for (x, p).
+    // DP rows of iterations x = 1..delta: rows[(x-1)*width + w] is the
+    // best total for the first x k-mers covering [0, p), p = x*s + w.
+    // Iteration delta+1 is read back only at p = n, so it is one cell.
+    auto& rows = scratch.row_a;
+    rows.assign(static_cast<std::size_t>(delta) * width, kInf);
+    // dividers[(x-2)*width + w] = best divider d for (x, p), x = 2..delta.
     auto& dividers = scratch.dividers;
-    dividers.assign(static_cast<std::size_t>(delta) * (e + 1), 0);
-    // Scratch for one backward frequency scan (deepest possible scan is
-    // a full maximal seed: s_min + e bases).
+    dividers.assign(static_cast<std::size_t>(delta > 0 ? delta - 1 : 0) *
+                        width,
+                    0);
+    // One backward scan buffer; no scan is deeper than a maximal seed
+    // (s + e bases).
     auto& freqs = scratch.freqs;
-    freqs.resize(s_min_ + e);
+    freqs.resize(s + e);
 
-    // Iteration 1: a single k-mer covering [0, p), p = s_min + w.
-    for (std::uint32_t w = 0; w <= e; ++w) {
-        const std::uint32_t p = s_min_ + w;
-        auto out = std::span<std::uint32_t>(freqs.data(), p);
-        scanner.suffix_frequencies(0, p, out, plan.fm_extends,
+    // p-major sweep over the ends rows 1..delta hold, [s, delta*s + e].
+    // Each end is scanned once, as deep as the shallowest iteration
+    // containing it needs, and the scan feeds every iteration x with
+    // x*s <= p <= x*s + e. Cell (x, p) reads row x-1 only at ends
+    // <= p - s, which earlier sweeps have already finalized.
+    const std::uint32_t p_stop = delta > 0 ? delta * s + e : 0;
+    for (std::uint32_t p = s; p <= p_stop; ++p) {
+        const std::uint32_t x_lo = p <= s + e ? 1 : (p - e + s - 1) / s;
+        const std::uint32_t x_hi = std::min(delta, p / s);
+        if (x_lo > x_hi) continue; // between windows when e < s - 1
+        const std::uint32_t scan_start = (x_lo - 1) * s;
+        auto out = std::span<std::uint32_t>(freqs.data(), p - scan_start);
+        scanner.suffix_frequencies(scan_start, p, out, plan.fm_extends,
                                    plan.qgram_jumps);
-        prev[w] = out[0]; // freq(0, p)
-        ++plan.dp_cells;
+        std::uint32_t x = x_lo;
+        if (x == 1) {
+            rows[p - s] = out[0]; // freq(0, p)
+            ++plan.dp_cells;
+            ++x;
+        }
+        for (; x <= x_hi; ++x) {
+            const std::uint32_t w = p - x * s;
+            const std::uint32_t d_lo = (x - 1) * s;
+            std::uint16_t best_d = 0;
+            rows[static_cast<std::size_t>(x - 1) * width + w] =
+                best_divider(&rows[static_cast<std::size_t>(x - 2) * width],
+                             out.data() + (d_lo - scan_start), d_lo, w,
+                             best_d, plan.dp_cells);
+            dividers[static_cast<std::size_t>(x - 2) * width + w] = best_d;
+        }
     }
 
-    // Iterations x = 2..delta+1 (the paper's "delta iterations"): the
-    // 1st section is the first x-1 k-mers (solved, in `prev`), the 2nd
-    // section is the x-th k-mer read[d, p).
-    for (std::uint32_t x = 2; x <= n_seeds; ++x) {
-        const std::uint32_t d_min = (x - 1) * s_min_;
-        std::fill(curr.begin(), curr.end(), kInf);
-        for (std::uint32_t w = 0; w <= e; ++w) {
-            const std::uint32_t p = x * s_min_ + w;
-            // One backward scan yields freq(d, p) for all d down to
-            // d_min; out[k] = freq(d_min + k, p).
-            auto out = std::span<std::uint32_t>(freqs.data(), p - d_min);
-            scanner.suffix_frequencies(d_min, p, out, plan.fm_extends,
-                                       plan.qgram_jumps);
-
-            std::uint32_t best = kInf;
-            std::uint16_t best_d = 0;
-            // d = d_min + w' with w' <= w (the 2nd section keeps length
-            // >= s_min). Scanning ascending keeps tie-breaks identical
-            // to OptimalSeeder.
-            for (std::uint32_t wp = 0; wp <= w; ++wp) {
-                ++plan.dp_cells;
-                if (prev[wp] == kInf) continue;
-                const std::uint32_t d = d_min + wp;
-                const std::uint32_t total =
-                    sat_add(prev[wp], out[d - d_min]);
-                if (total < best) {
-                    best = total;
-                    best_d = static_cast<std::uint16_t>(d);
-                    if (best == 0) break;
-                }
-            }
-            curr[w] = best;
-            dividers[static_cast<std::size_t>(x - 2) * (e + 1) + w] =
-                best_d;
-        }
-        std::swap(prev, curr);
+    // The collapsed last iteration: the single cell (delta+1, n).
+    auto& boundaries = scratch.boundaries;
+    boundaries.assign(delta + 1, 0);
+    const std::uint32_t d_last = delta * s;
+    auto out = std::span<std::uint32_t>(freqs.data(), n - d_last);
+    scanner.suffix_frequencies(d_last, n, out, plan.fm_extends,
+                               plan.qgram_jumps);
+    if (delta == 0) {
+        ++plan.dp_cells; // freq(0, n): the read is the one k-mer
+    } else {
+        std::uint16_t best_d = 0;
+        best_divider(&rows[static_cast<std::size_t>(delta - 1) * width],
+                     out.data(), d_last, e, best_d, plan.dp_cells);
+        boundaries[delta] = best_d;
     }
 
     // Backtracking (paper Fig. 2, bottom): recover dividers from the
     // last k-mer to the first.
-    auto& boundaries = scratch.boundaries;
-    boundaries.assign(n_seeds, 0);
-    std::uint32_t p = n;
-    for (std::uint32_t x = n_seeds; x >= 2; --x) {
-        const std::uint32_t w = p - x * s_min_;
+    std::uint32_t p = boundaries[delta];
+    for (std::uint32_t x = delta; x >= 2; --x) {
+        const std::uint32_t w = p - x * s;
         const std::uint16_t d =
-            dividers[static_cast<std::size_t>(x - 2) * (e + 1) + w];
+            dividers[static_cast<std::size_t>(x - 2) * width + w];
         boundaries[x - 1] = d;
         p = d;
     }
-    boundaries[0] = 0;
 
     plan_from_boundaries(fm, read, boundaries, plan);
-    plan.scratch_bytes =
-        (prev.size() + curr.size() + freqs.size()) * sizeof(std::uint32_t) +
-        dividers.size() * sizeof(std::uint16_t);
+    plan.scratch_bytes = (rows.size() + freqs.size()) * sizeof(std::uint32_t) +
+                         dividers.size() * sizeof(std::uint16_t);
 }
 
 } // namespace repute::filter

@@ -5,13 +5,18 @@
 // with the DP confined to the feasible "exploration space" of
 // E + 1 = n - s_min*(delta+1) + 1 prefixes per iteration:
 //
-//   * iteration x (x = 2..delta+1) examines prefix ends
+//   * iteration x (x = 1..delta+1) examines prefix ends
 //     p in [x*s_min, x*s_min + E] only — every other prefix cannot be
 //     completed into delta+1 seeds of length >= s_min;
-//   * DP rows and the per-iteration divider records are window-sized
-//     (u16 cells for dividers — the paper's bit-width optimization);
-//   * k-mer frequencies are recomputed per iteration with short backward
-//     scans instead of being materialized into an n x Lmax table.
+//   * the DP sweeps prefix ends p ascending (p-major): each end gets one
+//     backward frequency scan, as deep as the shallowest iteration whose
+//     window contains it, and that scan feeds every iteration containing
+//     p — an end shared by overlapping windows is never re-scanned;
+//   * the last iteration is read back only at p = n, so it is computed
+//     as that one cell, and ends only it contains need no scan;
+//   * storage is delta window-sized DP rows plus (delta-1) rows of u16
+//     dividers (the paper's bit-width optimization) and one scan
+//     buffer — never the n x Lmax frequency table of the full solver.
 //
 // The trade-off surface the paper reports falls out directly: smaller
 // s_min => larger window => better partitions but more scratch memory
@@ -34,14 +39,16 @@ public:
 
     std::string_view name() const noexcept override { return "repute-dp"; }
 
-    /// Window-sized DP rows + per-iteration u16 dividers + one scan
-    /// buffer (the paper's bounded exploration space).
+    /// delta window-sized DP rows + (delta-1) rows of u16 dividers + one
+    /// scan buffer (the paper's bounded exploration space). Equals the
+    /// plan.scratch_bytes every select() reports.
     std::uint64_t scratch_bound(std::size_t read_length,
                                 std::uint32_t delta) const override {
-        const std::uint64_t e =
-            exploration_space(read_length, delta, s_min_);
-        return (2 * (e + 1) + (s_min_ + e)) * 4 +
-               static_cast<std::uint64_t>(delta) * (e + 1) * 2;
+        const std::uint64_t width =
+            exploration_space(read_length, delta, s_min_) + 1;
+        const std::uint64_t divider_rows = delta > 0 ? delta - 1 : 0;
+        return (delta * width + (s_min_ + width - 1)) * 4 +
+               divider_rows * width * 2;
     }
 
     std::uint32_t s_min() const noexcept { return s_min_; }

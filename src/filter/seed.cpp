@@ -1,10 +1,9 @@
 #include "filter/seed.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
-#include "index/qgram_table.hpp"
+#include "filter/frequency_scanner.hpp"
 
 namespace repute::filter {
 
@@ -30,7 +29,7 @@ void plan_from_boundaries(const index::FmIndex& fm,
                           std::span<const std::uint8_t> read,
                           std::span<const std::uint16_t> boundaries,
                           SeedPlan& plan) {
-    const index::QGramTable* qt = fm.qgrams();
+    const FrequencyScanner scanner(fm, read);
     plan.seeds.clear();
     plan.seeds.reserve(boundaries.size());
     for (std::size_t s = 0; s < boundaries.size(); ++s) {
@@ -42,20 +41,8 @@ void plan_from_boundaries(const index::FmIndex& fm,
         Seed seed;
         seed.start = start;
         seed.length = static_cast<std::uint16_t>(end - start);
-        if (qt != nullptr && seed.length > 0) {
-            const std::uint32_t jump =
-                std::min<std::uint32_t>(seed.length, qt->q());
-            auto range = qt->lookup(read.subspan(end - jump, jump));
-            for (std::uint32_t d = end - jump; d-- > start && !range.empty();) {
-                range = fm.extend(range, read[d]);
-            }
-            seed.range = range;
-            plan.qgram_jumps += 1;
-            plan.fm_extends += seed.length - jump;
-        } else {
-            seed.range = fm.search(read.subspan(start, seed.length));
-            plan.fm_extends += seed.length;
-        }
+        seed.range = scanner.range(start, end, &plan.fm_extends,
+                                   &plan.qgram_jumps);
         plan.total_candidates += seed.range.count();
         plan.seeds.push_back(seed);
     }

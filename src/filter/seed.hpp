@@ -111,7 +111,8 @@ void validate_read_parameters(std::size_t read_length, std::uint32_t delta,
 /// and adding the incurred work to the plan's accounting (counters are
 /// NOT reset — DP accounting accumulated by the caller is preserved).
 /// Each seed's range starts from the q-gram jump table when the index
-/// has one, so only `length - q` real extends are issued per seed.
+/// has one, so at most `length - q` real extends are issued per seed
+/// (fewer once the range empties); `fm_extends` counts those issued.
 void plan_from_boundaries(const index::FmIndex& fm,
                           std::span<const std::uint8_t> read,
                           std::span<const std::uint16_t> boundaries,

@@ -7,6 +7,7 @@
 
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "filter/candidates.hpp"
@@ -31,8 +32,10 @@ using repute::filter::Seeder;
 using repute::filter::SeedPlan;
 using repute::filter::UniformSeeder;
 using repute::genomics::GenomeSimConfig;
+using repute::genomics::ReadSimConfig;
 using repute::genomics::Reference;
 using repute::genomics::simulate_genome;
+using repute::genomics::simulate_reads;
 using repute::index::FmIndex;
 using repute::util::Xoshiro256;
 
@@ -131,24 +134,117 @@ INSTANTIATE_TEST_SUITE_P(AllSeeders, SeederContractTest,
 
 // ------------------------------------ memory-optimized == full OSS
 
+/// Memopt must reproduce the full solver's plan exactly (starts,
+/// lengths, FM ranges, candidate total), never issue more FM extends
+/// than it, and report exactly its static scratch bound.
+void expect_memopt_matches_oss(const FmIndex& fm,
+                               std::span<const std::uint8_t> read,
+                               std::uint32_t delta, const OptimalSeeder& full,
+                               const MemoryOptimizedSeeder& memopt) {
+    SCOPED_TRACE("n=" + std::to_string(read.size()) + " delta=" +
+                 std::to_string(delta) +
+                 " s_min=" + std::to_string(memopt.s_min()));
+    const auto a = full.select(fm, read, delta);
+    const auto b = memopt.select(fm, read, delta);
+    ASSERT_EQ(a.seeds.size(), b.seeds.size());
+    for (std::size_t s = 0; s < a.seeds.size(); ++s) {
+        EXPECT_EQ(a.seeds[s].start, b.seeds[s].start);
+        EXPECT_EQ(a.seeds[s].length, b.seeds[s].length);
+        EXPECT_EQ(a.seeds[s].range, b.seeds[s].range);
+    }
+    EXPECT_EQ(a.total_candidates, b.total_candidates);
+    EXPECT_LE(b.fm_extends, a.fm_extends);
+    EXPECT_EQ(b.scratch_bytes, memopt.scratch_bound(read.size(), delta));
+}
+
 TEST_F(FilterTest, MemoptMatchesFullOssOnRandomReads) {
+    // Two read sources: exact substrings of the shared fixture genome,
+    // and reads with edits sampled from a genome that is half
+    // interspersed repeats at 2.5% divergence, where near-duplicate
+    // k-mers make equal-cost divider ties common.
+    GenomeSimConfig config;
+    config.length = 150'000;
+    config.seed = 29;
+    config.interspersed_fraction = 0.5;
+    config.repeat_divergence = 0.025;
+    const Reference repeats = simulate_genome(config);
+    const FmIndex repeat_fm(repeats, 4);
+    auto edited_reads = [&](std::size_t n, std::size_t count,
+                            std::uint64_t seed) {
+        ReadSimConfig rconfig;
+        rconfig.n_reads = count;
+        rconfig.read_length = n;
+        rconfig.max_errors = 5;
+        rconfig.seed = seed;
+        return simulate_reads(repeats, rconfig).batch.reads;
+    };
+
     Xoshiro256 rng(77);
+    const std::uint32_t deltas[] = {0, 3, 4, 5, 6, 7};
     for (const std::uint32_t s_min : {10u, 12u, 14u, 16u}) {
         const OptimalSeeder full(s_min);
         const MemoryOptimizedSeeder memopt(s_min);
         for (const std::size_t n : {100u, 150u}) {
-            for (const std::uint32_t delta : {3u, 4u, 5u, 6u, 7u}) {
+            const auto edited = edited_reads(n, 8, 500 + s_min + n);
+            for (const std::uint32_t delta : deltas) {
                 if ((delta + 1) * s_min > n) continue;
                 for (int trial = 0; trial < 8; ++trial) {
+                    expect_memopt_matches_oss(*fm_, sample_read(rng, n),
+                                              delta, full, memopt);
+                    expect_memopt_matches_oss(repeat_fm,
+                                              edited[trial].codes, delta,
+                                              full, memopt);
+                }
+            }
+        }
+        // The E = 0 edge: every k-mer is exactly s_min long, so each
+        // iteration's window is the single end x * s_min.
+        for (const std::uint32_t delta : deltas) {
+            const std::size_t n = (delta + 1) * s_min;
+            ASSERT_EQ(MemoryOptimizedSeeder::exploration_space(n, delta,
+                                                               s_min),
+                      0u);
+            const auto edited = edited_reads(n, 4, 900 + s_min + delta);
+            for (int trial = 0; trial < 4; ++trial) {
+                expect_memopt_matches_oss(*fm_, sample_read(rng, n), delta,
+                                          full, memopt);
+                expect_memopt_matches_oss(repeat_fm, edited[trial].codes,
+                                          delta, full, memopt);
+            }
+        }
+    }
+}
+
+TEST_F(FilterTest, FmExtendsEqualOccWordsRead) {
+    // At the default checkpoint spacing one occ() reads one BWT word and
+    // every extend() makes two occ() calls, so across one select() the
+    // thread's occ-word counter moves by exactly 2 * fm_extends: every
+    // extend charged to the device model was issued, and every issued
+    // one was charged (DP scans and plan_from_boundaries alike).
+    ASSERT_EQ(fm_->checkpoint_every(), 128u);
+    Xoshiro256 rng(4242);
+    for (const std::uint32_t s_min : {10u, 14u}) {
+        const MemoryOptimizedSeeder memopt(s_min);
+        const OptimalSeeder optimal(s_min);
+        const UniformSeeder uniform(s_min);
+        const Seeder* seeders[] = {&memopt, &optimal, &uniform};
+        for (const std::size_t n : {100u, 150u}) {
+            for (const std::uint32_t delta : {0u, 3u, 5u}) {
+                if ((delta + 1) * s_min > n) continue;
+                for (int trial = 0; trial < 6; ++trial) {
                     const auto read = sample_read(rng, n);
-                    const auto a = full.select(*fm_, read, delta);
-                    const auto b = memopt.select(*fm_, read, delta);
-                    ASSERT_EQ(a.seeds.size(), b.seeds.size());
-                    for (std::size_t s = 0; s < a.seeds.size(); ++s) {
-                        EXPECT_EQ(a.seeds[s].start, b.seeds[s].start);
-                        EXPECT_EQ(a.seeds[s].length, b.seeds[s].length);
+                    for (const Seeder* s : seeders) {
+                        SCOPED_TRACE(std::string(s->name()) + " n=" +
+                                     std::to_string(n) + " delta=" +
+                                     std::to_string(delta));
+                        SeedPlan plan;
+                        repute::filter::SeedScratch scratch;
+                        const std::uint64_t before =
+                            FmIndex::thread_occ_words();
+                        s->select(*fm_, read, delta, plan, scratch);
+                        EXPECT_EQ(FmIndex::thread_occ_words() - before,
+                                  2 * plan.fm_extends);
                     }
-                    EXPECT_EQ(a.total_candidates, b.total_candidates);
                 }
             }
         }

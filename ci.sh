@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # CI entry point. Tiers:
-#   tier1         configure + build + full ctest (the gate every change
-#                 must pass) + micro-benchmark smoke
+#   tier1         orphan-module check (every src/ header is included
+#                 by a caller outside its own .cpp/.hpp pair and outside
+#                 micro_kernels.cpp) + configure + build + full ctest
+#                 (the gate every change must pass) + micro-benchmark
+#                 smoke
 #   bench         benchmark regression gate: micro_kernels vs the same
 #                 binary built from the commit the change is based on
 #                 (HEAD for uncommitted work, HEAD~1 on main, else the
@@ -97,6 +100,22 @@ has_tier() {
 }
 
 if has_tier tier1; then
+    echo "== orphan-module check: every src/ header has a caller =="
+    # A header is used when a file in src/, bench/ or perfbench/ other
+    # than its own .cpp/.hpp pair includes it. micro_kernels.cpp does not
+    # count: a module that only its micro-benchmark reaches is dead code.
+    ORPHANS=()
+    while IFS= read -r header; do
+        users="$(grep -rlF --include='*.[ch]pp' "#include \"${header#src/}\"" \
+            src bench perfbench | grep -vxF -e "$header" \
+            -e "${header%.hpp}.cpp" -e bench/micro_kernels.cpp || true)"
+        [[ -z "$users" ]] && ORPHANS+=("${header#src/}")
+    done < <(find src -name '*.hpp' | sort)
+    if [[ ${#ORPHANS[@]} -gt 0 ]]; then
+        echo "orphan modules (no caller outside their own files): ${ORPHANS[*]}" >&2
+        exit 1
+    fi
+
     echo "== tier 1: configure + build + ctest =="
     cmake -B build -S . -DCMAKE_BUILD_TYPE=Release "${LAUNCHER[@]}"
     cmake --build build -j "$JOBS"

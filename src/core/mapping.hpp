@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/scheduler.hpp"
-#include "genomics/sam_lite.hpp"
 #include "genomics/sequence.hpp"
 #include "obs/stage_counters.hpp"
 #include "ocl/device.hpp"

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/mapping.hpp"
+#include "genomics/sam_lite.hpp"
 #include "genomics/sequence.hpp"
 
 namespace repute::core {

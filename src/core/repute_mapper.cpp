@@ -9,7 +9,6 @@
 #include "filter/memopt_seeder.hpp"
 #include "index/rixm.hpp"
 #include "obs/trace.hpp"
-#include "util/logging.hpp"
 
 namespace repute::core {
 
@@ -511,11 +510,6 @@ void HeterogeneousMapper::map_static(const genomics::ReadBatch& batch,
             counts[d], slot.reserve(context, device, max_image_bytes(), n,
                                     out_bytes, config_.double_buffer, name_));
         if (max_chunk < counts[d]) {
-            util::logf(util::LogLevel::Info,
-                       "%s: %zu reads exceed %s memory; running %zu-read "
-                       "kernel invocations",
-                       name_.c_str(), counts[d], device.name().c_str(),
-                       max_chunk);
             if (auto* m = obs::metrics()) {
                 m->counter("mapper.buffer_ceiling_splits")
                     .add((counts[d] + max_chunk - 1) / max_chunk - 1);
@@ -611,13 +605,7 @@ void HeterogeneousMapper::map_dynamic(const genomics::ReadBatch& batch,
     std::vector<ocl::Device*> devices;
     std::vector<double> warm_start;
     for (const DeviceShare& s : shares_) {
-        if (scratch > s.device->profile().private_memory_per_unit) {
-            util::logf(util::LogLevel::Info,
-                       "%s: dropping %s (needs %llu B scratch/item)",
-                       name_.c_str(), s.device->name().c_str(),
-                       static_cast<unsigned long long>(scratch));
-            continue;
-        }
+        if (scratch > s.device->profile().private_memory_per_unit) continue;
         devices.push_back(s.device);
         warm_start.push_back(s.fraction);
     }

@@ -12,8 +12,9 @@ constexpr std::uint32_t kGrowthStep = 2;
 } // namespace
 
 // CORAL's serial probes deliberately bypass the q-gram jump table: its
-// published cost model re-pays the full O(k) search per length probe,
-// which is exactly what fm.search() models.
+// published cost model re-pays the full O(k) search per length probe.
+// A probe stops once its range empties, and only the extends it issues
+// are charged.
 void HeuristicSeeder::select(const index::FmIndex& fm,
                              std::span<const std::uint8_t> read,
                              std::uint32_t delta, SeedPlan& plan,
@@ -40,8 +41,11 @@ void HeuristicSeeder::select(const index::FmIndex& fm,
                                                : std::min(s_min_, max_len);
         index::FmIndex::Range range;
         while (true) {
-            range = fm.search(read.subspan(pos, len));
-            plan.fm_extends += len;
+            range = fm.whole_range();
+            for (auto i = pos + len; i > pos && !range.empty(); --i) {
+                range = fm.extend(range, read[i - 1]);
+                ++plan.fm_extends;
+            }
             if (s == n_seeds - 1) break; // last k-mer takes the rest
             if (range.empty() || range.count() <= threshold_) break;
             if (len + kGrowthStep > max_len) break;

@@ -1,16 +1,13 @@
 #pragma once
-// SAM-lite output.
+// SAM-lite record: the fields core::paired_to_sam fills per mate.
 //
 // The paper's REPUTE reports (position, edit distance, strand) per
-// mapping and defers full SAM/CIGAR to future work; we emit a SAM-subset
-// record that carries exactly those fields plus the CIGAR string our
-// alignment layer produces (implemented here as the paper's announced
-// extension).
+// mapping and defers full SAM/CIGAR to future work. SAM text is written
+// in one place, pipeline::SamEmitter; this struct only carries a paired
+// record's fields (and the flag constants) on the way there.
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "genomics/sequence.hpp"
 
@@ -46,14 +43,5 @@ struct SamRecord {
         return (flag & kFlagReverse) ? Strand::Reverse : Strand::Forward;
     }
 };
-
-/// Writes @HD/@SQ headers followed by the records.
-void write_sam(std::ostream& out, const std::string& reference_name,
-               std::size_t reference_length,
-               const std::vector<SamRecord>& records);
-
-/// Parses records written by write_sam (headers skipped). Tolerates
-/// missing optional tags; throws std::runtime_error on malformed lines.
-std::vector<SamRecord> read_sam(std::istream& in);
 
 } // namespace repute::genomics

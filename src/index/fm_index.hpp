@@ -134,8 +134,7 @@ public:
     /// Last-to-first mapping.
     std::uint32_t lf(std::uint32_t row) const noexcept;
 
-    /// Row whose BWT symbol is the sentinel (needed by bidirectional
-    /// range synchronization).
+    /// Row whose BWT symbol is the sentinel (saved in `.rix` headers).
     std::uint32_t sentinel_row() const noexcept { return sentinel_row_; }
 
     std::uint32_t sa_sample() const noexcept { return sa_sample_; }

@@ -2,9 +2,9 @@
 // Per-stage operation counters of the map kernel pipeline.
 //
 // One definition shared by the kernel accounting (core::StageTotals),
-// the per-device run records (core::DeviceRun), core/report and the
-// observability summary exporter — previously each kept its own copy of
-// these fields and they drifted.
+// the per-device run records (core::DeviceRun) and the observability
+// summary exporter — previously each kept its own copy of these fields
+// and they drifted.
 
 #include <cstdint>
 

@@ -34,6 +34,7 @@
 #include "core/mapping.hpp"
 #include "core/paired.hpp"
 #include "genomics/multi_reference.hpp"
+#include "genomics/sam_lite.hpp"
 
 namespace repute::pipeline {
 

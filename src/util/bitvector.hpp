@@ -74,10 +74,6 @@ public:
     /// Number of clear bits in [0, i). Requires a prior build_rank().
     std::size_t rank0(std::size_t i) const noexcept { return i - rank1(i); }
 
-    /// Position of the (k+1)-th set bit (0-based k); size() if none.
-    /// Binary search over superblocks + word scan: O(log n).
-    std::size_t select1(std::size_t k) const noexcept;
-
     /// Total number of set bits. Requires a prior build_rank().
     std::size_t count_ones() const noexcept { return total_ones_; }
 

@@ -40,10 +40,6 @@ public:
     /// discarded to keep the generator state trivially serializable).
     double normal(double mean, double stddev) noexcept;
 
-    /// Equivalent of 2^128 calls to operator(); used to derive independent
-    /// per-thread streams from one master seed.
-    void long_jump() noexcept;
-
 private:
     std::uint64_t s_[4];
 };

@@ -12,7 +12,6 @@
 #include "core/accuracy.hpp"
 #include "core/kernels.hpp"
 #include "core/mapping.hpp"
-#include "core/report.hpp"
 #include "core/repute_mapper.hpp"
 #include "filter/memopt_seeder.hpp"
 #include "filter/uniform_seeder.hpp"
@@ -439,18 +438,6 @@ TEST_F(CoreTest, BalancedSharesFollowThroughputAndScratch) {
     auto over = repute::core::balanced_shares({&cpu, &gpu}, 16 * 1024);
     EXPECT_GT(over[0].fraction, 0.0);
     EXPECT_DOUBLE_EQ(over[1].fraction, 0.0);
-}
-
-TEST_F(CoreTest, FormatMapReportContainsKeyFacts) {
-    Device dev(fast_test_profile());
-    auto mapper = make_repute(*reference_, *fm_, {{&dev, 1.0}});
-    const auto result = mapper->map(sim_->batch, 4);
-    const auto report =
-        repute::core::format_map_report(sim_->batch, result);
-    EXPECT_NE(report.find("reads: 250"), std::string::npos) << report;
-    EXPECT_NE(report.find("mappings/read:"), std::string::npos);
-    EXPECT_NE(report.find(dev.name()), std::string::npos);
-    EXPECT_NE(report.find("verify"), std::string::npos);
 }
 
 // ------------------------------------------------------------------ SAM

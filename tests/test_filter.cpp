@@ -220,19 +220,28 @@ TEST_F(FilterTest, FmExtendsEqualOccWordsRead) {
     // every extend() makes two occ() calls, so across one select() the
     // thread's occ-word counter moves by exactly 2 * fm_extends: every
     // extend charged to the device model was issued, and every issued
-    // one was charged (DP scans and plan_from_boundaries alike).
+    // one was charged (DP scans, plan_from_boundaries and CORAL's
+    // early-stopping length probes alike).
     ASSERT_EQ(fm_->checkpoint_every(), 128u);
     Xoshiro256 rng(4242);
     for (const std::uint32_t s_min : {10u, 14u}) {
         const MemoryOptimizedSeeder memopt(s_min);
         const OptimalSeeder optimal(s_min);
         const UniformSeeder uniform(s_min);
-        const Seeder* seeders[] = {&memopt, &optimal, &uniform};
+        const HeuristicSeeder heuristic(s_min);
+        const Seeder* seeders[] = {&memopt, &optimal, &uniform, &heuristic};
         for (const std::size_t n : {100u, 150u}) {
             for (const std::uint32_t delta : {0u, 3u, 5u}) {
                 if ((delta + 1) * s_min > n) continue;
                 for (int trial = 0; trial < 6; ++trial) {
-                    const auto read = sample_read(rng, n);
+                    // Substitutions leave k-mers with no occurrence, so
+                    // scans and CORAL's length probes stop early.
+                    auto read = sample_read(rng, n);
+                    for (int e = 0; e < trial; ++e) {
+                        const std::size_t p = rng.bounded(n);
+                        read[p] = static_cast<std::uint8_t>(
+                            (read[p] + 1 + rng.bounded(3)) & 3);
+                    }
                     for (const Seeder* s : seeders) {
                         SCOPED_TRACE(std::string(s->name()) + " n=" +
                                      std::to_string(n) + " delta=" +

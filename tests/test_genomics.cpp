@@ -1,6 +1,6 @@
 // genomics: sequences, FASTA/FASTQ round trips, the genome simulator's
 // statistical contracts, the read simulator's ground-truth guarantee,
-// and SAM-lite I/O.
+// and the SAM-lite record's strand flag.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 
 #include "align/edit_distance.hpp"
 #include "genomics/fastx.hpp"
-#include "genomics/spectrum.hpp"
 #include "genomics/genome_sim.hpp"
 #include "genomics/read_sim.hpp"
 #include "genomics/sam_lite.hpp"
@@ -23,7 +22,6 @@ using repute::genomics::GenomeSimConfig;
 using repute::genomics::Read;
 using repute::genomics::read_fasta;
 using repute::genomics::read_fastq;
-using repute::genomics::read_sam;
 using repute::genomics::ReadSimConfig;
 using repute::genomics::Reference;
 using repute::genomics::SamRecord;
@@ -33,7 +31,6 @@ using repute::genomics::Strand;
 using repute::genomics::to_read_batch;
 using repute::genomics::write_fasta;
 using repute::genomics::write_fastq;
-using repute::genomics::write_sam;
 
 // -------------------------------------------------------------- Sequence
 
@@ -155,28 +152,61 @@ TEST(GenomeSim, GcContentNearTarget) {
     EXPECT_NEAR(fraction, 0.41, 0.04);
 }
 
+/// 12-mer spectrum of a reference, counted in the test itself: the
+/// largest k-mer count and the fraction of positions whose k-mer occurs
+/// more than 4 times.
+struct KmerSpectrum {
+    std::uint32_t max_count = 0;
+    double repetitive_fraction = 0.0;
+};
+
+KmerSpectrum kmer_spectrum_of(const Reference& ref) {
+    std::map<std::uint64_t, std::uint32_t> counts;
+    std::uint64_t kmer = 0;
+    const std::uint32_t k = 12;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        kmer = ((kmer << 2) | ref.code_at(i)) & ((1ULL << (2 * k)) - 1);
+        if (i + 1 >= k) ++counts[kmer];
+    }
+    KmerSpectrum s;
+    std::uint64_t repetitive = 0;
+    for (const auto& [key, count] : counts) {
+        s.max_count = std::max(s.max_count, count);
+        if (count > 4) repetitive += count;
+    }
+    s.repetitive_fraction =
+        static_cast<double>(repetitive) / (ref.size() - k + 1);
+    return s;
+}
+
 TEST(GenomeSim, RepeatsSkewKmerSpectrum) {
     // With interspersed repeats, some k-mers must be much more frequent
     // than the Poisson background would allow.
     GenomeSimConfig config;
     config.length = 150'000;
     config.interspersed_fraction = 0.45;
-    const auto ref = simulate_genome(config);
-
-    std::map<std::uint64_t, std::uint32_t> spectrum;
-    std::uint64_t kmer = 0;
-    const std::uint32_t k = 12;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        kmer = ((kmer << 2) | ref.code_at(i)) & ((1ULL << (2 * k)) - 1);
-        if (i + 1 >= k) ++spectrum[kmer];
-    }
-    std::uint32_t max_count = 0;
-    for (const auto& [key, count] : spectrum) {
-        max_count = std::max(max_count, count);
-    }
+    const KmerSpectrum spectrum = kmer_spectrum_of(simulate_genome(config));
     // Background expectation is ~150k/16.7M << 1 per k-mer; repeats
     // should push some k-mer into double digits.
-    EXPECT_GE(max_count, 10u);
+    EXPECT_GE(spectrum.max_count, 10u);
+}
+
+TEST(Spectrum, RepeatRichGenomeIsHeavyTailed) {
+    // Against a repeat-free genome of the same length, the repeat-rich
+    // one must have a heavy-tailed spectrum (DESIGN.md §2: the synthetic
+    // genome stands in for a repeat-rich chromosome).
+    GenomeSimConfig repeat_rich;
+    repeat_rich.length = 120'000;
+    repeat_rich.interspersed_fraction = 0.5;
+    repeat_rich.repeat_divergence = 0.02;
+    GenomeSimConfig plain = repeat_rich;
+    plain.interspersed_fraction = 0.0;
+    plain.tandem_fraction = 0.0;
+
+    const KmerSpectrum rich = kmer_spectrum_of(simulate_genome(repeat_rich));
+    const KmerSpectrum flat = kmer_spectrum_of(simulate_genome(plain));
+    EXPECT_GT(rich.repetitive_fraction, 5 * flat.repetitive_fraction);
+    EXPECT_GT(rich.max_count, 4 * flat.max_count);
 }
 
 TEST(GenomeSim, RejectsDegenerateConfigs) {
@@ -187,61 +217,6 @@ TEST(GenomeSim, RejectsDegenerateConfigs) {
     config.interspersed_fraction = 0.9;
     config.tandem_fraction = 0.2;
     EXPECT_THROW((void)simulate_genome(config), std::invalid_argument);
-}
-
-// -------------------------------------------------------------- spectrum
-
-TEST(Spectrum, HandComputedSmallCase) {
-    // "AAAAAAAA": one distinct 4-mer occurring 5 times.
-    const auto ref = Reference::from_ascii("t", "AAAAAAAA");
-    const auto s = repute::genomics::kmer_spectrum(ref, 4);
-    EXPECT_EQ(s.total_kmers, 5u);
-    EXPECT_EQ(s.distinct_kmers, 1u);
-    EXPECT_EQ(s.max_frequency, 5u);
-    EXPECT_DOUBLE_EQ(s.mean_frequency, 5.0);
-    EXPECT_DOUBLE_EQ(s.repetitive_fraction, 1.0); // 5 > 4
-}
-
-TEST(Spectrum, ProfileMatchesSummary) {
-    GenomeSimConfig config;
-    config.length = 50'000;
-    const auto ref = simulate_genome(config);
-    const auto summary = repute::genomics::kmer_spectrum(ref, 10);
-    const auto profile =
-        repute::genomics::kmer_frequency_profile(ref, 10);
-    ASSERT_EQ(profile.size(), summary.total_kmers);
-    const auto max_in_profile =
-        *std::max_element(profile.begin(), profile.end());
-    EXPECT_EQ(max_in_profile, summary.max_frequency);
-    // Every position's k-mer occurs at least once (itself).
-    for (const auto f : profile) EXPECT_GE(f, 1u);
-}
-
-TEST(Spectrum, RepeatRichGenomeIsHeavyTailed) {
-    GenomeSimConfig repeat_rich;
-    repeat_rich.length = 120'000;
-    repeat_rich.interspersed_fraction = 0.5;
-    repeat_rich.repeat_divergence = 0.02;
-    GenomeSimConfig plain = repeat_rich;
-    plain.interspersed_fraction = 0.0;
-    plain.tandem_fraction = 0.0;
-
-    const auto rich =
-        repute::genomics::kmer_spectrum(simulate_genome(repeat_rich), 12);
-    const auto flat =
-        repute::genomics::kmer_spectrum(simulate_genome(plain), 12);
-    EXPECT_GT(rich.repetitive_fraction, 5 * flat.repetitive_fraction);
-    EXPECT_GT(rich.max_frequency, 4 * flat.max_frequency);
-}
-
-TEST(Spectrum, RejectsBadParameters) {
-    const auto ref = Reference::from_ascii("t", "ACGTACGT");
-    EXPECT_THROW((void)repute::genomics::kmer_spectrum(ref, 3),
-                 std::invalid_argument);
-    EXPECT_THROW((void)repute::genomics::kmer_spectrum(ref, 15),
-                 std::invalid_argument);
-    EXPECT_THROW((void)repute::genomics::kmer_spectrum(ref, 9),
-                 std::invalid_argument); // longer than the text
 }
 
 // -------------------------------------------------------------- read sim
@@ -388,38 +363,11 @@ TEST(ReadSim, RejectsTooShortReference) {
 
 // -------------------------------------------------------------- SAM-lite
 
-TEST(SamLite, WriteReadRoundTrip) {
-    std::vector<SamRecord> records(2);
-    records[0].qname = "r1";
-    records[0].rname = "chr21";
-    records[0].pos = 1234;
-    records[0].cigar = "100M";
-    records[0].edit_distance = 3;
-    records[1].qname = "r2";
-    records[1].flag = SamRecord::kFlagUnmapped;
-    records[1].rname = "*";
-
-    std::stringstream io;
-    write_sam(io, "chr21", 46'709'983, records);
-    const auto parsed = read_sam(io);
-    ASSERT_EQ(parsed.size(), 2u);
-    EXPECT_EQ(parsed[0].qname, "r1");
-    EXPECT_EQ(parsed[0].pos, 1234u);
-    EXPECT_EQ(parsed[0].edit_distance, 3u);
-    EXPECT_EQ(parsed[0].cigar, "100M");
-    EXPECT_TRUE(parsed[1].unmapped());
-}
-
 TEST(SamLite, StrandFlag) {
     SamRecord rec;
     EXPECT_EQ(rec.strand(), Strand::Forward);
     rec.flag |= SamRecord::kFlagReverse;
     EXPECT_EQ(rec.strand(), Strand::Reverse);
-}
-
-TEST(SamLite, RejectsMalformedLines) {
-    std::istringstream in("r1\t0\tchr\n");
-    EXPECT_THROW((void)read_sam(in), std::runtime_error);
 }
 
 } // namespace

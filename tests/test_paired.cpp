@@ -260,15 +260,6 @@ TEST_F(PairedTest, PairedSamExportFlagsAndTlen) {
                       (r2.flag & SamRecord::kFlagReverse) != 0);
         }
     }
-
-    // Round-trips through the SAM-lite writer/parser.
-    std::stringstream io;
-    repute::genomics::write_sam(io, reference_->name(),
-                                reference_->size(), sam);
-    const auto parsed = repute::genomics::read_sam(io);
-    ASSERT_EQ(parsed.size(), sam.size());
-    EXPECT_EQ(parsed[0].tlen, sam[0].tlen);
-    EXPECT_EQ(parsed[0].pnext, sam[0].pnext);
 }
 
 TEST_F(PairedTest, RejectsMismatchedBatches) {
